@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pyramid_masker import (
     ClusterScorer,
+    DocumentCluster,
     SalienceVariant,
     cluster_rouge,
     principle_score,
@@ -167,17 +168,40 @@ def test_cluster_rouge_invariant_to_document_relabeling():
     assert cluster_rouge(moved, relabeled) == pytest.approx(baseline, abs=1e-12)
 
 
+# Shapes the seeded synthetic clusters never produce.
+SCORER_EDGE_CLUSTERS = [
+    # a sentence with no tokens between two that have some
+    DocumentCluster("empty", ("Smoke rose. ... Crews left.", "Smoke rose again.")),
+    # verbatim duplicates, within one document and across documents
+    DocumentCluster("dupes", ("Crews held the line. Crews held the line.", "Crews held the line.")),
+    # the bigram "fox red" inside a sentence and across the seam before it
+    DocumentCluster("seam", ("Red fox. Fox red fox. Red fox red.", "Fox red.")),
+    DocumentCluster("single", ("Crews held the line. Wind pushed the fire. Crews rested.",)),
+]
+
+
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SalienceVariant)))
 def test_scorer_matches_naive_functions(seed, variant):
     rng = random.Random(seed)
-    cluster = synthetic_cluster(rng, f"eq{seed}", total_sentences=rng.randint(5, 14))
-    sentences = segment_cluster(cluster)
-    scorer = ClusterScorer(sentences, variant)
-    for s in sentences:
-        context = [o for o in sentences if o is not s]
-        assert scorer.principle(s) == principle_score(s, context, variant)
-        assert scorer.cluster(s) == cluster_rouge(s, sentences, variant)
+    clusters = [synthetic_cluster(rng, f"eq{seed}", total_sentences=rng.randint(5, 14))]
+    clusters += SCORER_EDGE_CLUSTERS
+    for cluster in clusters:
+        sentences = segment_cluster(cluster)
+        # A fresh scorer per order: whichever method runs first fills the
+        # shared per-sentence cache the other then reads.
+        for cluster_first in (True, False):
+            scorer = ClusterScorer(sentences, variant)
+            for s in sentences if cluster_first else reversed(sentences):
+                context = [o for o in sentences if o is not s]
+                expected_principle = principle_score(s, context, variant)
+                expected_cluster = cluster_rouge(s, sentences, variant)
+                if cluster_first:
+                    assert scorer.cluster(s) == expected_cluster
+                    assert scorer.principle(s) == expected_principle
+                else:
+                    assert scorer.principle(s) == expected_principle
+                    assert scorer.cluster(s) == expected_cluster
 
 
 @settings(deadline=None, max_examples=40)

@@ -19,6 +19,7 @@ from pyramid_masker import (
     segment_cluster,
     select_sentences,
 )
+from pyramid_masker.entities import normalize_surface
 from pyramid_masker.segment import Sentence
 from pyramid_masker.selection import (
     select_entity_pyramid,
@@ -165,15 +166,26 @@ def test_entity_pyramid_without_fallback():
 
 
 def test_entity_match_respects_token_boundaries():
-    sentences = [
-        sent(0, 0, "usage grows quickly here"),
-        sent(1, 0, "they warned us yesterday"),
-        sent(1, 1, "nothing else happened there"),
+    # (entity, texts that contain it only as a substring, text that mentions it)
+    cases = [
+        ("us", ["usage grows quickly here", "the bus left early"], "they warned us yesterday"),
+        ("zed", ["zedd and the zeds came", "amazed crowds cheered"], "we met zed, then left"),
+        ("u.s.", ["the uxsy team lost", "the u.s.a. team lost"], "the u.s. team won"),
+        (normalize_surface("Straße"), ["strassen were closed"], "they closed the STRASSE today"),
     ]
-    pyramid = [PyramidEntry("us", 2, ((0, 0), (1, 0)))]
-    scorer = ClusterScorer(sentences)
-    result = select_entity_pyramid(sentences, pyramid, 1, 0, scorer)
-    assert result.masked == ((1, 0),)  # "usage" must not count as "us"
+    for entity, near_misses, mention in cases:
+        misses = [sent(0, i, text) for i, text in enumerate(near_misses)]
+        filler = sent(1, 1, "nothing else happened there")
+        pyramid = [PyramidEntry(entity, 2, ((0, 0), (1, 0)))]
+
+        sentences = misses + [filler]
+        result = select_entity_pyramid(sentences, pyramid, 1, 0, ClusterScorer(sentences))
+        assert result.fallback_used, entity  # no near miss is a candidate
+
+        sentences = misses + [sent(1, 0, mention), filler]
+        result = select_entity_pyramid(sentences, pyramid, 1, 0, ClusterScorer(sentences))
+        assert not result.fallback_used, entity
+        assert result.masked == ((1, 0),), entity
 
 
 def test_entity_tie_breaks_to_earliest_sentence():
