@@ -10,15 +10,12 @@ they carry no cross-document signal.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .segment import Sentence
-
-log = logging.getLogger(__name__)
 
 
 class EntitySource(Enum):
@@ -144,14 +141,17 @@ def extract_entities_rules(sentences: Sequence[Sentence]) -> list[EntityMention]
 def extract_entities_provided(
     sentences: Sequence[Sentence],
     annotations: Sequence,
+    events: list[dict] | None = None,
 ) -> list[EntityMention]:
     """Locate caller-provided (surface, doc) annotations in the cluster.
 
     Each annotation is pinned to the first sentence of its document that
     contains the surface form (case-insensitive).  Annotations that
-    cannot be located are dropped with a warning so one bad record does
-    not sink the cluster.
+    cannot be located are dropped so one bad record does not sink the
+    cluster; each drop appends an ``entity_dropped`` event to ``events``
+    when the caller passes a list to report them from.
     """
+    cluster_id = sentences[0].cluster_id if sentences else ""
     by_doc: dict[int, list[Sentence]] = {}
     for sentence in sentences:
         by_doc.setdefault(sentence.doc_index, []).append(sentence)
@@ -164,11 +164,15 @@ def extract_entities_provided(
                 hit = sentence
                 break
         if hit is None:
-            log.warning(
-                "entity %r not found in document %d; dropping annotation",
-                ann.surface,
-                ann.doc_index,
-            )
+            if events is not None:
+                events.append(
+                    {
+                        "event": "entity_dropped",
+                        "cluster_id": cluster_id,
+                        "surface": ann.surface,
+                        "doc": ann.doc_index,
+                    }
+                )
             continue
         mentions.append(_mention(ann.surface, hit.doc_index, hit.sent_index))
     return mentions
@@ -178,14 +182,17 @@ def extract_entities(
     sentences: Sequence[Sentence],
     source: EntitySource = EntitySource.RULES,
     annotations: Sequence | None = None,
+    events: list[dict] | None = None,
 ) -> list[EntityMention]:
     """Dispatch on the configured mention source.
 
     PROVIDED falls back to the rule extractor when a cluster carries no
     annotations at all, so mixed corpora still mask every cluster.
+    ``events`` collects the provided extractor's ``entity_dropped``
+    events.
     """
     if source is EntitySource.PROVIDED and annotations:
-        return extract_entities_provided(sentences, annotations)
+        return extract_entities_provided(sentences, annotations, events)
     return extract_entities_rules(sentences)
 
 

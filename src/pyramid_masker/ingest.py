@@ -9,8 +9,10 @@ Input is UTF-8 JSONL, one cluster per line:
 
 Malformed lines never kill a run by default: each produces a
 ``RecordError`` with its line number and the loader moves on.  Strict
-mode promotes the first bad record to a fatal ``CorpusError``.  Memory
-stays bounded by the largest single cluster regardless of corpus size.
+mode promotes the first bad record to a fatal ``CorpusError``.  Clusters
+are read one at a time, but the loader keeps every cluster id it has
+seen to reject duplicates, so its memory grows with the number of
+distinct ids in the corpus.
 """
 
 from __future__ import annotations

@@ -54,12 +54,17 @@ class PipelineConfig:
             raise ValueError("workers must be at least 1")
 
 
-def process_cluster(cluster: DocumentCluster, config: PipelineConfig) -> MaskedExample:
+def process_cluster(
+    cluster: DocumentCluster,
+    config: PipelineConfig,
+    events: list[dict] | None = None,
+) -> MaskedExample:
     """Run one cluster through the whole pipeline.
 
     Raises ``MaskingError`` when the cluster cannot yield a valid
     example (nothing fits the budget, or every masked sentence was
-    truncated away).
+    truncated away).  Diagnostic events about the cluster, such as
+    ``entity_dropped``, are appended to ``events`` when it is given.
     """
     sentences = segment_cluster(cluster, config.normalization, config.abbreviations)
     if not sentences:
@@ -67,7 +72,7 @@ def process_cluster(cluster: DocumentCluster, config: PipelineConfig) -> MaskedE
     pyramid = None
     if config.selection.strategy is Strategy.ENTITY_PYRAMID:
         mentions = extract_entities(
-            sentences, config.entity_source, cluster.entity_annotations
+            sentences, config.entity_source, cluster.entity_annotations, events
         )
         pyramid = build_pyramid(mentions, len(cluster.documents))
     selection = select_sentences(
@@ -108,12 +113,16 @@ def example_to_record(example: MaskedExample, emit_text: bool = False) -> dict:
 
 
 def _process_one(cluster: DocumentCluster, config: PipelineConfig) -> tuple:
+    """(status, cluster_id, record line or skip reason, events).  The
+    cluster's diagnostic events travel in the result, so they reach the
+    parent's diagnostics stream from any worker process."""
+    events: list[dict] = []
     try:
-        example = process_cluster(cluster, config)
+        example = process_cluster(cluster, config, events)
     except (MaskingError, ValueError) as exc:
-        return ("skip", cluster.cluster_id, str(exc))
+        return ("skip", cluster.cluster_id, str(exc), events)
     line = json.dumps(example_to_record(example, config.emit_text), ensure_ascii=False)
-    return ("ok", example.cluster_id, line)
+    return ("ok", example.cluster_id, line, events)
 
 
 def _process_chunk(clusters: Sequence[DocumentCluster], config: PipelineConfig) -> list[tuple]:
@@ -202,6 +211,8 @@ def run_mask(
     started = time.perf_counter()
     clusters = load_clusters(source, strict=config.strict, on_error=on_record_error)
     for result in _results(clusters, config):
+        for event in result[3]:
+            print(json.dumps(event), file=diagnostics)
         if result[0] == "ok":
             report.processed += 1
             sink.write(result[2])

@@ -12,8 +12,12 @@ Two salience scores rank sentences within a cluster:
   documents rather than merely long sentences.
 
 The module-level functions are the readable reference implementations;
-``ClusterScorer`` computes identical values from counters built once per
-cluster and is what the pipeline uses.
+``ClusterScorer`` computes identical values and is what the pipeline
+uses.  It counts the n-grams of each document and of the whole cluster
+once, and gives every sentence one n-gram profile (unigram and bigram
+counts as plain dicts), built once and read by both scores.  Its
+integer overlaps are the reference's, and its float operations run in
+the same order, so its scores equal the reference's exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +62,31 @@ def _f1(precision: float, recall: float) -> float:
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     if n == 1:
         return Counter(tokens)
+    if n == 2:
+        return Counter(zip(tokens, tokens[1:]))
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _profile(tokens: Sequence[str]) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+    """One sentence's unigram and bigram counts, as plain dicts.  A
+    sentence is short, so a dict loop beats building a ``Counter``."""
+    uni: dict[str, int] = {}
+    for token in tokens:
+        uni[token] = uni.get(token, 0) + 1
+    bi: dict[tuple[str, str], int] = {}
+    for gram in zip(tokens, tokens[1:]):
+        bi[gram] = bi.get(gram, 0) + 1
+    return uni, bi
+
+
+def _overlap(cand: dict, ref: dict) -> int:
+    """Clipped n-gram overlap: each n-gram counts at most as often as it
+    appears in ``ref``."""
+    overlap = 0
+    for gram, count in cand.items():
+        ref_count = ref.get(gram, 0)
+        overlap += count if count < ref_count else ref_count
+    return overlap
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
@@ -165,19 +193,19 @@ class ClusterScorer:
     """Counter-based scorer giving the same numbers as the module
     functions without re-walking the cluster for every sentence.
 
-    Per-document and whole-cluster n-gram counters are built once.  The
-    leave-one-out context for ``principle`` is derived from the totals by
-    subtracting the sentence's own n-grams and patching the two bigrams
+    Per-document and whole-cluster n-gram counters are built once, and
+    so is each sentence's n-gram profile, which both scores read.  The
+    leave-one-out context for ``principle`` is derived from the totals
+    by subtracting the sentence's own n-grams and patching the bigrams
     that straddle its edges.  Scores are memoized because the selection
-    loop revisits sentences across entities.
+    loop revisits sentences across entities.  Only sentences of the
+    cluster the scorer was built from can be scored.
     """
 
     def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
         self.variant = variant
         ordered = _by_key(sentences)
-        self._doc_uni: dict[int, Counter] = {}
-        self._doc_bi: dict[int, Counter] = {}
-        self._doc_len: dict[int, int] = {}
+        self._profiles = {s.key: _profile(s.tokens) for s in ordered}
         doc_tokens: dict[int, list[str]] = {}
         flat: list[str] = []
         self._prev_last: dict[tuple[int, int], str | None] = {}
@@ -193,10 +221,11 @@ class ClusterScorer:
             flat.extend(s.tokens)
         if last_nonempty is not None:
             self._next_first[last_nonempty.key] = None
-        for doc_index, tokens in doc_tokens.items():
-            self._doc_uni[doc_index] = Counter(tokens)
-            self._doc_bi[doc_index] = _ngrams(tokens, 2)
-            self._doc_len[doc_index] = len(tokens)
+        # (doc_index, unigrams, bigrams, length), in document order.
+        self._docs = [
+            (doc_index, Counter(tokens), _ngrams(tokens, 2), len(tokens))
+            for doc_index, tokens in sorted(doc_tokens.items())
+        ]
         self._total_uni = Counter(flat)
         self._total_bi = _ngrams(flat, 2)
         self._total_len = len(flat)
@@ -225,34 +254,37 @@ class ClusterScorer:
             return cached
         tokens = sentence.tokens
         ctx_len = self._total_len - len(tokens)
-        s_uni = Counter(tokens)
-        s_bi = _ngrams(tokens, 2)
+        s_uni, s_bi = self._profiles[key]
 
+        total_uni = self._total_uni
         ov1 = 0
         for gram, count in s_uni.items():
-            ctx = self._total_uni[gram] - count
+            ctx = total_uni[gram] - count
             if ctx > 0:
-                ov1 += min(count, ctx)
+                ov1 += count if count < ctx else ctx
         r1 = self._score(ov1, len(tokens), ctx_len)
 
         # Bigrams straddling the removed sentence: two vanish from the
         # context, one new seam bigram appears.
-        removed: Counter = Counter()
-        added: Counter = Counter()
+        seam: dict[tuple[str, str], int] = {}
         if tokens:
             prev_last = self._prev_last.get(key)
             next_first = self._next_first.get(key)
             if prev_last is not None:
-                removed[(prev_last, tokens[0])] += 1
+                gram = (prev_last, tokens[0])
+                seam[gram] = seam.get(gram, 0) - 1
             if next_first is not None:
-                removed[(tokens[-1], next_first)] += 1
+                gram = (tokens[-1], next_first)
+                seam[gram] = seam.get(gram, 0) - 1
             if prev_last is not None and next_first is not None:
-                added[(prev_last, next_first)] += 1
+                gram = (prev_last, next_first)
+                seam[gram] = seam.get(gram, 0) + 1
+        total_bi = self._total_bi
         ov2 = 0
         for gram, count in s_bi.items():
-            ctx = self._total_bi[gram] - count - removed[gram] + added[gram]
+            ctx = total_bi[gram] - count + seam.get(gram, 0)
             if ctx > 0:
-                ov2 += min(count, ctx)
+                ov2 += count if count < ctx else ctx
         r2 = self._score(ov2, max(0, len(tokens) - 1), max(0, ctx_len - 1))
 
         score = self._combine(r1, r2)
@@ -264,19 +296,14 @@ class ClusterScorer:
         cached = self._cluster_cache.get(key)
         if cached is not None:
             return cached
-        tokens = sentence.tokens
-        s_uni = Counter(tokens)
-        s_bi = _ngrams(tokens, 2)
+        n = len(sentence.tokens)
+        s_uni, s_bi = self._profiles[key]
         total = 0.0
-        for doc_index in sorted(self._doc_len):
+        for doc_index, doc_uni, doc_bi, doc_len in self._docs:
             if doc_index == sentence.doc_index:
                 continue
-            doc_uni = self._doc_uni[doc_index]
-            doc_bi = self._doc_bi[doc_index]
-            ov1 = sum(min(count, doc_uni[gram]) for gram, count in s_uni.items())
-            ov2 = sum(min(count, doc_bi[gram]) for gram, count in s_bi.items())
-            r1 = self._score(ov1, len(tokens), self._doc_len[doc_index])
-            r2 = self._score(ov2, max(0, len(tokens) - 1), max(0, self._doc_len[doc_index] - 1))
+            r1 = self._score(_overlap(s_uni, doc_uni), n, doc_len)
+            r2 = self._score(_overlap(s_bi, doc_bi), max(0, n - 1), max(0, doc_len - 1))
             total += self._combine(r1, r2)
         self._cluster_cache[key] = total
         return total

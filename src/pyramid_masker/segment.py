@@ -43,9 +43,11 @@ DEFAULT_NORMALIZATION = NormalizationConfig()
 class Sentence:
     """One sentence of one document, with its normalized tokens.
 
-    ``(doc_index, sent_index)`` identifies the sentence within a cluster;
-    ``tokens`` is derived from ``text`` under the active normalization
-    config and is what the ROUGE scorer consumes.
+    ``key``, ``(doc_index, sent_index)``, identifies the sentence within
+    a cluster; it is stored at construction because scoring and
+    selection read it in their inner loops.  ``tokens`` is derived from
+    ``text`` under the active normalization config and is what the ROUGE
+    scorer consumes.
     """
 
     cluster_id: str
@@ -53,10 +55,10 @@ class Sentence:
     sent_index: int
     text: str
     tokens: tuple[str, ...] = field(default=())
+    key: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.doc_index, self.sent_index)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.doc_index, self.sent_index))
 
 
 # Punctuation (and symbol-ish ASCII leftovers) become spaces so that

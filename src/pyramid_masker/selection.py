@@ -140,9 +140,11 @@ def select_entity_pyramid(
 
     A sentence is a candidate for an entity when the entity occurs in
     its case-folded text at token boundaries (so "us" never matches
-    inside "usage").  Each entity contributes at most one sentence, the
-    candidate with the highest cluster ROUGE; ties go to the earliest
-    position.  Picks beyond ``mask_count`` become the copied set.
+    inside "usage").  A plain substring test screens sentences first;
+    it cannot reject a boundary match, which is also a substring.  Each
+    entity contributes at most one sentence, the candidate with the
+    highest cluster ROUGE; ties go to the earliest position.  Picks
+    beyond ``mask_count`` become the copied set.
     """
     ordered = _ordered(sentences)
     matchable = {s.key: _matchable_text(s) for s in ordered}
@@ -159,7 +161,8 @@ def select_entity_pyramid(
         for sentence in ordered:
             if sentence.key in picked_keys:
                 continue
-            if not pattern.search(matchable[sentence.key]):
+            text = matchable[sentence.key]
+            if entry.entity not in text or not pattern.search(text):
                 continue
             score = scorer.cluster(sentence)
             if score > best_score:

@@ -80,17 +80,19 @@ def test_provided_annotations_are_located():
     assert [(m.normalized, m.doc_index, m.sent_index) for m in mentions] == [("san juan", 0, 0)]
 
 
-def test_provided_annotation_not_found_is_dropped(caplog):
+def test_provided_annotation_not_found_is_dropped():
     cluster = DocumentCluster(
         "c",
         ("Nothing relevant here.",),
         entity_annotations=(EntityAnnotation("Atlantis", 0),),
     )
     sentences = segment_cluster(cluster)
-    with caplog.at_level("WARNING"):
-        mentions = extract_entities_provided(sentences, cluster.entity_annotations)
+    events: list[dict] = []
+    mentions = extract_entities_provided(sentences, cluster.entity_annotations, events)
     assert mentions == []
-    assert "Atlantis" in caplog.text
+    assert events == [
+        {"event": "entity_dropped", "cluster_id": "c", "surface": "Atlantis", "doc": 0}
+    ]
 
 
 def test_provided_mode_falls_back_to_rules_without_annotations():

@@ -11,6 +11,7 @@ import pytest
 from pyramid_masker import (
     CorpusError,
     DocumentCluster,
+    EntitySource,
     MaskConfig,
     MaskingError,
     PipelineConfig,
@@ -123,6 +124,27 @@ def test_skipped_cluster_reported_not_fatal():
     assert skip_events[0]["cluster_id"] == "bad"
     assert "untruncatable" in skip_events[0]["reason"]
     assert json.loads(out.splitlines()[0])["cluster_id"] == "good"
+
+
+def test_entity_dropped_event_reaches_diagnostics():
+    annotated = {
+        "cluster_id": "ann",
+        "documents": ["Colorado burned again today.", "Colorado crews held the line."],
+        "entities": [
+            {"surface": "Colorado", "doc": 0},
+            {"surface": "Colorado", "doc": 1},
+            {"surface": "Zed", "doc": 1},
+        ],
+    }
+    corpus = make_corpus(40) + (json.dumps(annotated) + "\n").encode()
+    for workers in (1, 2):
+        config = PipelineConfig(entity_source=EntitySource.PROVIDED, workers=workers)
+        report, _, events = drive(corpus, config)
+        assert report.processed == 41
+        dropped = [e for e in events if e["event"] == "entity_dropped"]
+        assert dropped == [
+            {"event": "entity_dropped", "cluster_id": "ann", "surface": "Zed", "doc": 1}
+        ]
 
 
 def test_record_errors_counted():

@@ -174,8 +174,8 @@ SCORER_EDGE_CLUSTERS = [
     DocumentCluster("empty", ("Smoke rose. ... Crews left.", "Smoke rose again.")),
     # verbatim duplicates, within one document and across documents
     DocumentCluster("dupes", ("Crews held the line. Crews held the line.", "Crews held the line.")),
-    # the bigram "fox red" inside a sentence and across the seam before it
-    DocumentCluster("seam", ("Red fox. Fox red fox. Red fox red.", "Fox red.")),
+    # "go go" inside a sentence and across both of its seams
+    DocumentCluster("seam", ("Go. Go go go. Go home.", "Go home.")),
     DocumentCluster("single", ("Crews held the line. Wind pushed the fire. Crews rested.",)),
 ]
 
