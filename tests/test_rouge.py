@@ -168,7 +168,7 @@ def test_cluster_rouge_invariant_to_document_relabeling():
     assert cluster_rouge(moved, relabeled) == pytest.approx(baseline, abs=1e-12)
 
 
-# Shapes the seeded synthetic clusters never produce.
+# Shapes the seeded synthetic clusters rarely or never produce.
 SCORER_EDGE_CLUSTERS = [
     # a sentence with no tokens between two that have some
     DocumentCluster("empty", ("Smoke rose. ... Crews left.", "Smoke rose again.")),
