@@ -10,36 +10,43 @@ Subcommands:
 
 Data goes to stdout, every diagnostic goes to stderr as one JSON object
 per line.  For ``mask``, settings resolve as flags over config-file
-values over defaults; the config file is a flat JSON object whose keys
-are flag names (hyphens or underscores).  ``PYRAMID_MASKER_WORKERS``
-overrides the worker count from either source.
+values over defaults.  The config file is a flat JSON object whose keys
+are the ``mask`` flag names, with hyphens or underscores.  Its values
+are JSON scalars of the flag's type, and switches take ``true`` or
+``false``.  ``PYRAMID_MASKER_WORKERS`` overrides the worker count from
+either source.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from contextlib import ExitStack
+from operator import not_
 from typing import IO
 
 from .entities import EntitySource
-from .ingest import CorpusError, compute_corpus_stats, load_clusters
+from .ingest import CorpusError, RecordError, compute_corpus_stats, load_clusters
 from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
-from .rouge import ClusterScorer, SalienceVariant
+from .rouge import DEFAULT_VARIANT, ClusterScorer, SalienceVariant
 from .segment import NormalizationConfig, Stemming, load_abbreviations, segment_cluster
 from .selection import SelectionConfig, Strategy
-
-log = logging.getLogger(__name__)
 
 
 def _fatal(reason: str) -> int:
     print(json.dumps({"event": "fatal", "reason": reason}), file=sys.stderr)
     return 1
+
+
+def _record_error(error: RecordError) -> None:
+    print(
+        json.dumps({"event": "record_error", "line": error.line_number, "reason": error.reason}),
+        file=sys.stderr,
+    )
 
 
 def _open_source(path: str, stack: ExitStack) -> IO[bytes]:
@@ -55,116 +62,154 @@ def _open_sink(path: str, stack: ExitStack) -> IO[str]:
 
 
 # ---------------------------------------------------------------------------
-# config-file handling (mask subcommand)
-
-_MASK_KEYS = {
-    "strategy",
-    "mask_ratio",
-    "copy_ratio",
-    "salience_variant",
-    "seed",
-    "entities",
-    "input_token_limit",
-    "output_token_limit",
-    "doc_sep_token",
-    "sent_mask_token",
-    "attention_window",
-    "no_lead_sep",
-    "no_lowercase",
-    "no_strip_punctuation",
-    "stemming",
-    "workers",
-    "strict",
-    "emit_text",
-    "progress_every",
-    "abbreviations",
-}
+# mask settings
 
 
-def _load_config_file(path: str) -> dict:
+def _add_mask_settings(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Declare the ``mask`` settings on ``parser``.  Each is also a
+    config-file key, named by its ``dest``.  None has a default here: a
+    setting the user does not give keeps its config dataclass's default."""
+    add = parser.add_argument
+    return [
+        add("--strategy", choices=[s.value for s in Strategy]),
+        add("--mask-ratio", type=float),
+        add("--copy-ratio", type=float),
+        add("--salience-variant", choices=[v.value for v in SalienceVariant]),
+        add("--seed", type=int),
+        add("--entities", choices=[e.value for e in EntitySource]),
+        add("--input-token-limit", type=int),
+        add("--output-token-limit", type=int),
+        add("--doc-sep-token"),
+        add("--sent-mask-token"),
+        add(
+            "--no-lead-sep",
+            action="store_true",
+            default=None,
+            help="emit separators only between documents, not before the first",
+        ),
+        add("--no-lowercase", action="store_true", default=None),
+        add("--no-strip-punctuation", action="store_true", default=None),
+        add("--stemming", choices=[s.value for s in Stemming]),
+        add("--workers", type=int),
+        add("--strict", action="store_true", default=None),
+        add(
+            "--emit-text",
+            action="store_true",
+            default=None,
+            help="also write space-joined input_text/target_text fields",
+        ),
+        add("--progress-every", type=int),
+        add("--abbreviations", help="override the packaged abbreviation list"),
+    ]
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value, checked against its flag and converted as the
+    flag converts its text.  Switches take true/false, integer settings
+    whole numbers, number settings numbers and the rest strings."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.nargs == 0:
+        kind, ok = "true or false", isinstance(value, bool)
+    elif action.type is int:
+        kind, ok = "an integer", number and (isinstance(value, int) or value.is_integer())
+    elif action.type is float:
+        kind, ok = "a number", number
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise CorpusError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    return action.type(value) if action.type else value
+
+
+def _load_config_file(path: str, settings: dict[str, argparse.Action]) -> dict:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise CorpusError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CorpusError(f"config file {path} must hold a JSON object")
     resolved = {}
     for key, value in raw.items():
         norm = key.lstrip("-").replace("-", "_")
-        if norm not in _MASK_KEYS:
+        if norm not in settings:
             raise CorpusError(f"unknown config key {key!r} in {path}")
         if isinstance(value, (dict, list)):
             raise CorpusError(f"config key {key!r} must be a scalar")
-        resolved[norm] = value
+        resolved[norm] = _config_value(key, value, settings[norm])
     return resolved
 
 
-def _setting(args: argparse.Namespace, file_cfg: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
-
-
-def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    try:
-        strategy = Strategy(_setting(args, file_cfg, "strategy", Strategy.ENTITY_PYRAMID.value))
-        variant = SalienceVariant(
-            _setting(args, file_cfg, "salience_variant", SalienceVariant.MEAN_R1_R2_F1.value)
-        )
-        entity_source = EntitySource(_setting(args, file_cfg, "entities", EntitySource.RULES.value))
-        stemming = Stemming(_setting(args, file_cfg, "stemming", Stemming.PORTER.value))
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-
-    try:
-        selection = SelectionConfig(
-            strategy=strategy,
-            mask_ratio=float(_setting(args, file_cfg, "mask_ratio", 0.15)),
-            copy_ratio=float(_setting(args, file_cfg, "copy_ratio", 0.15)),
-            variant=variant,
-            seed=int(_setting(args, file_cfg, "seed", 0)),
-        )
-        mask = MaskConfig(
-            input_token_limit=int(_setting(args, file_cfg, "input_token_limit", 4096)),
-            output_token_limit=int(_setting(args, file_cfg, "output_token_limit", 1024)),
-            doc_sep_token=str(_setting(args, file_cfg, "doc_sep_token", "<doc-sep>")),
-            sent_mask_token=str(_setting(args, file_cfg, "sent_mask_token", "[sent-mask]")),
-            attention_window=int(_setting(args, file_cfg, "attention_window", 512)),
-            lead_separator=not _setting(args, file_cfg, "no_lead_sep", False),
-        )
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-    normalization = NormalizationConfig(
-        lowercase=not _setting(args, file_cfg, "no_lowercase", False),
-        strip_punctuation=not _setting(args, file_cfg, "no_strip_punctuation", False),
-        stemming=stemming,
-    )
-
+def _given_settings(args: argparse.Namespace) -> dict:
+    """The ``mask`` settings the user gave, by config key: flags over
+    config-file values, with ``PYRAMID_MASKER_WORKERS`` over both."""
+    settings = {action.dest: action for action in _add_mask_settings(argparse.ArgumentParser())}
+    given = _load_config_file(args.config, settings) if args.config else {}
+    for key in settings:
+        value = getattr(args, key)
+        if value is not None:
+            given[key] = value
     env_workers = os.environ.get("PYRAMID_MASKER_WORKERS")
     if env_workers:
         try:
-            workers = int(env_workers)
+            given["workers"] = int(env_workers)
         except ValueError as exc:
             raise CorpusError(f"PYRAMID_MASKER_WORKERS must be an integer: {env_workers!r}") from exc
-    else:
-        workers = int(_setting(args, file_cfg, "workers", 1))
+    return given
 
-    abbrev_path = _setting(args, file_cfg, "abbreviations", None)
-    abbreviations = load_abbreviations(abbrev_path) if abbrev_path else None
 
+def _pick(given: dict, *names: str, **converted: tuple) -> dict:
+    """Keyword arguments for the settings in ``given``: each of ``names``
+    as it is, and each ``field=(setting, convert)`` converted."""
+    kwargs = {name: given[name] for name in names if name in given}
+    for field, (name, convert) in converted.items():
+        if name in given:
+            kwargs[field] = convert(given[name])
+    return kwargs
+
+
+def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """Settings the user did not give keep their dataclass defaults."""
+    given = _given_settings(args)
     try:
         return PipelineConfig(
-            normalization=normalization,
-            selection=selection,
-            mask=mask,
-            entity_source=entity_source,
-            workers=workers,
-            strict=bool(_setting(args, file_cfg, "strict", False)),
-            emit_text=bool(_setting(args, file_cfg, "emit_text", False)),
-            progress_every=int(_setting(args, file_cfg, "progress_every", 1000)),
-            abbreviations=abbreviations,
+            normalization=NormalizationConfig(
+                **_pick(
+                    given,
+                    lowercase=("no_lowercase", not_),
+                    strip_punctuation=("no_strip_punctuation", not_),
+                    stemming=("stemming", Stemming),
+                )
+            ),
+            selection=SelectionConfig(
+                **_pick(
+                    given,
+                    "mask_ratio",
+                    "copy_ratio",
+                    "seed",
+                    strategy=("strategy", Strategy),
+                    variant=("salience_variant", SalienceVariant),
+                )
+            ),
+            mask=MaskConfig(
+                **_pick(
+                    given,
+                    "input_token_limit",
+                    "output_token_limit",
+                    "doc_sep_token",
+                    "sent_mask_token",
+                    lead_separator=("no_lead_sep", not_),
+                )
+            ),
+            **_pick(
+                given,
+                "workers",
+                "strict",
+                "emit_text",
+                "progress_every",
+                entity_source=("entities", EntitySource),
+                abbreviations=("abbreviations", load_abbreviations),
+            ),
         )
     except ValueError as exc:
         raise CorpusError(str(exc)) from exc
@@ -184,15 +229,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    def on_error(error) -> None:
-        print(
-            json.dumps({"event": "record_error", "line": error.line_number, "reason": error.reason}),
-            file=sys.stderr,
-        )
-
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
-        clusters = load_clusters(source, strict=args.strict, on_error=on_error)
+        clusters = load_clusters(source, strict=args.strict, on_error=_record_error)
         stats = compute_corpus_stats(clusters)
     print(json.dumps(stats.to_json_dict()))
     return 0
@@ -204,7 +243,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
         target = None
-        for cluster in load_clusters(source):
+        for cluster in load_clusters(source, on_error=_record_error):
             if args.cluster_id is None or cluster.cluster_id == args.cluster_id:
                 target = cluster
                 break
@@ -248,10 +287,7 @@ def cmd_eval_pyramid(args: argparse.Namespace) -> int:
             except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
                 if args.strict:
                     raise CorpusError(f"line {line_number}: {exc}") from exc
-                print(
-                    json.dumps({"event": "record_error", "line": line_number, "reason": str(exc)}),
-                    file=sys.stderr,
-                )
+                _record_error(RecordError(line_number, str(exc)))
                 continue
             scores.append(score)
             results.append(
@@ -334,44 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--input", default="-", help="corpus JSONL path, or - for stdin")
     mask.add_argument("--output", default="-", help="output JSONL path, or - for stdout")
     mask.add_argument("--config", help="flat JSON config file; flags win over it")
-    mask.add_argument("--strategy", choices=[s.value for s in Strategy])
-    mask.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-    mask.add_argument("--copy-ratio", type=float, dest="copy_ratio")
-    mask.add_argument(
-        "--salience-variant",
-        choices=[v.value for v in SalienceVariant],
-        dest="salience_variant",
-    )
-    mask.add_argument("--seed", type=int)
-    mask.add_argument("--entities", choices=[e.value for e in EntitySource])
-    mask.add_argument("--input-token-limit", type=int, dest="input_token_limit")
-    mask.add_argument("--output-token-limit", type=int, dest="output_token_limit")
-    mask.add_argument("--doc-sep-token", dest="doc_sep_token")
-    mask.add_argument("--sent-mask-token", dest="sent_mask_token")
-    mask.add_argument("--attention-window", type=int, dest="attention_window")
-    mask.add_argument(
-        "--no-lead-sep",
-        action="store_true",
-        default=None,
-        dest="no_lead_sep",
-        help="emit separators only between documents, not before the first",
-    )
-    mask.add_argument("--no-lowercase", action="store_true", default=None, dest="no_lowercase")
-    mask.add_argument(
-        "--no-strip-punctuation", action="store_true", default=None, dest="no_strip_punctuation"
-    )
-    mask.add_argument("--stemming", choices=[s.value for s in Stemming])
-    mask.add_argument("--workers", type=int)
-    mask.add_argument("--strict", action="store_true", default=None)
-    mask.add_argument(
-        "--emit-text",
-        action="store_true",
-        default=None,
-        dest="emit_text",
-        help="also write space-joined input_text/target_text fields",
-    )
-    mask.add_argument("--progress-every", type=int, dest="progress_every")
-    mask.add_argument("--abbreviations", help="override the packaged abbreviation list")
+    _add_mask_settings(mask)
     mask.set_defaults(func=cmd_mask)
 
     stats = sub.add_parser("stats", help="corpus-level statistics as JSON")
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument(
         "--salience-variant",
         choices=[v.value for v in SalienceVariant],
-        default=SalienceVariant.MEAN_R1_R2_F1.value,
+        default=DEFAULT_VARIANT.value,
         dest="salience_variant",
     )
     score.add_argument("--abbreviations")
@@ -416,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s"
-    )
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -31,9 +31,6 @@ class MaskConfig:
     output_token_limit: int = 1024
     doc_sep_token: str = "<doc-sep>"
     sent_mask_token: str = "[sent-mask]"
-    # Window size a downstream sparse-attention model is expected to use;
-    # carried through as metadata, never used in assembly.
-    attention_window: int = 512
     lead_separator: bool = True
 
     def __post_init__(self) -> None:

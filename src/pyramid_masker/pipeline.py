@@ -10,7 +10,6 @@ are identical for any worker count.
 from __future__ import annotations
 
 import json
-import logging
 import sys
 import time
 from collections import deque
@@ -29,8 +28,6 @@ from .mask import (
 )
 from .segment import NormalizationConfig, segment_cluster
 from .selection import SelectionConfig, Strategy, select_sentences
-
-log = logging.getLogger(__name__)
 
 # Clusters handed to each worker task; big enough to amortize pickling,
 # small enough to keep the ordered-writer buffer modest.

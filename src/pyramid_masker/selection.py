@@ -232,7 +232,6 @@ def select_sentences(
     config: SelectionConfig,
     cluster_id: str = "",
     pyramid: Sequence[PyramidEntry] | None = None,
-    scorer: ClusterScorer | None = None,
 ) -> SelectionResult:
     """Dispatch to the configured strategy with counts derived from the
     cluster size.  ``pyramid`` is required for the entity strategy."""
@@ -243,8 +242,7 @@ def select_sentences(
         return select_lead(sentences, mask_count, copy_count)
     if config.strategy is Strategy.RANDOM:
         return select_random(sentences, mask_count, copy_count, config.seed, cluster_id)
-    if scorer is None:
-        scorer = ClusterScorer(sentences, config.variant)
+    scorer = ClusterScorer(sentences, config.variant)
     if config.strategy is Strategy.PRINCIPLE:
         return select_principle(sentences, mask_count, copy_count, scorer)
     if pyramid is None:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 
 import pytest
 
 from pyramid_masker import ClusterScorer, segment_cluster
-from pyramid_masker.cli import main
+from pyramid_masker.cli import _build_pipeline_config, build_parser, main
+from pyramid_masker.pipeline import PipelineConfig
 
 from synth import WILDFIRE_CLUSTER, synthetic_cluster
 
@@ -159,6 +161,81 @@ def test_bad_strategy_value_is_fatal(corpus_path, capsys):
     assert cfg_error == 1
 
 
+def test_no_settings_build_the_dataclass_defaults(monkeypatch):
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    assert _build_pipeline_config(build_parser().parse_args(["mask"])) == PipelineConfig()
+
+
+PACKAGED_ABBREVIATIONS = str(resources.files("pyramid_masker.resources") / "abbreviations.txt")
+
+# One non-default value for every mask setting: its flag arguments, and
+# the config-file value that must mean the same.
+SETTING_VALUES = {
+    "strategy": (["--strategy", "lead"], "lead"),
+    "mask_ratio": (["--mask-ratio", "0.3"], 0.3),
+    "copy_ratio": (["--copy-ratio", "0.2"], 0.2),
+    "salience_variant": (["--salience-variant", "r1_f1"], "r1_f1"),
+    "seed": (["--seed", "7"], 7),
+    "entities": (["--entities", "provided"], "provided"),
+    "input_token_limit": (["--input-token-limit", "100"], 100),
+    "output_token_limit": (["--output-token-limit", "50"], 50),
+    "doc_sep_token": (["--doc-sep-token", "<D>"], "<D>"),
+    "sent_mask_token": (["--sent-mask-token", "<G>"], "<G>"),
+    "no_lead_sep": (["--no-lead-sep"], True),
+    "no_lowercase": (["--no-lowercase"], True),
+    "no_strip_punctuation": (["--no-strip-punctuation"], True),
+    "stemming": (["--stemming", "none"], "none"),
+    "workers": (["--workers", "2"], 2),
+    "strict": (["--strict"], True),
+    "emit_text": (["--emit-text"], True),
+    "progress_every": (["--progress-every", "10"], 10),
+    "abbreviations": (["--abbreviations", PACKAGED_ABBREVIATIONS], PACKAGED_ABBREVIATIONS),
+}
+
+
+def test_each_setting_means_the_same_as_flag_and_config_key(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    parser = build_parser()
+    keys = set(vars(parser.parse_args(["mask"]))) - {"command", "func", "input", "output", "config"}
+    assert keys == set(SETTING_VALUES)
+    for key, (argv, value) in SETTING_VALUES.items():
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        from_flag = _build_pipeline_config(parser.parse_args(["mask", *argv]))
+        from_file = _build_pipeline_config(parser.parse_args(["mask", "--config", str(cfg)]))
+        assert from_flag == from_file != PipelineConfig(), key
+
+
+def test_attention_window_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["mask", "--attention-window", "512"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"seed": null}', "'seed'"),
+        ('{"mask_ratio": null}', "'mask_ratio'"),
+        ('{"no_lowercase": "false"}', "'no_lowercase'"),
+        ('{"strict": "no"}', "'strict'"),
+        ('{"workers": true}', "'workers'"),
+        ('{"seed": 1.9}', "'seed'"),
+        ('{"attention_window": 512}', "unknown config key 'attention_window'"),
+        ('{"seed": 1', "not valid JSON"),
+    ],
+)
+def test_bad_config_file_value_is_fatal(corpus_path, tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["mask", "--input", str(corpus_path), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    fatal = json.loads(captured.err.splitlines()[-1])
+    assert fatal["event"] == "fatal" and named in fatal["reason"]
+
+
 def test_env_var_overrides_workers_flag(corpus_path, capsys, monkeypatch):
     # an invalid env value must win over a valid flag to prove precedence
     monkeypatch.setenv("PYRAMID_MASKER_WORKERS", "0")
@@ -240,6 +317,17 @@ def test_score_sentence_selects_cluster(corpus_path, capsys):
     code = main(["score-sentence", "--input", str(corpus_path), "--cluster-id", "c2"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["cluster_id"] == "c2"
+
+
+def test_score_sentence_reports_bad_lines(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text("not json\n" + cluster_line(WILDFIRE_CLUSTER) + "\n")
+    code = main(["score-sentence", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["cluster_id"] == "wildfire"
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
 
 
 def test_score_sentence_missing_cluster(corpus_path, capsys):
