@@ -33,7 +33,7 @@ from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
 from .rouge import DEFAULT_VARIANT, ClusterScorer, SalienceVariant
-from .segment import NormalizationConfig, Stemming, load_abbreviations, segment_cluster
+from .segment import NormalizationConfig, Stemming, by_position, load_abbreviations, segment_cluster
 from .selection import SelectionConfig, Strategy
 
 
@@ -260,7 +260,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
             "principle": scorer.principle(s),
             "cluster_rouge": scorer.cluster(s),
         }
-        for s in sorted(sentences, key=lambda s: s.key)
+        for s in sorted(sentences, key=by_position)
     ]
     print(
         json.dumps(
@@ -323,6 +323,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 candidate = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return _fatal(f"line {line_number}: {exc}")
+            if not isinstance(candidate, dict):
+                _record_error(RecordError(line_number, "record is not a JSON object"))
+                continue
             if args.cluster_id is None or candidate.get("cluster_id") == args.cluster_id:
                 record = candidate
                 break

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .segment import Sentence
+from .segment import Sentence, by_position
 from .selection import SelectionResult
 
 
@@ -76,7 +76,7 @@ def truncate_per_document(
     surviving: list[Sentence] = []
     used: dict[int, int] = {}
     cut: set[int] = set()
-    for sentence in sorted(sentences, key=lambda s: s.key):
+    for sentence in sorted(sentences, key=by_position):
         doc = sentence.doc_index
         if doc in cut:
             continue
@@ -106,10 +106,11 @@ def build_masked_example(
     masked sentence is an error because the example would have an empty
     target.
     """
-    surviving = sorted(surviving, key=lambda s: s.key)
-    surviving_keys = {s.key for s in surviving}
-    masked = tuple(k for k in selection.masked if k in surviving_keys)
-    copied = tuple(k for k in selection.copied if k in surviving_keys)
+    surviving = sorted(surviving, key=by_position)
+    # Each surviving sentence's words, split once for input and target.
+    words = {s.key: surface_tokens(s) for s in surviving}
+    masked = tuple(k for k in selection.masked if k in words)
+    copied = tuple(k for k in selection.copied if k in words)
     dropped_masked = len(selection.masked) - len(masked)
     if not masked:
         raise MaskingError("empty target: every masked sentence was truncated away")
@@ -136,12 +137,11 @@ def build_masked_example(
             if sentence.key in masked_set:
                 input_tokens.append(config.sent_mask_token)
             else:
-                input_tokens.extend(surface_tokens(sentence))
+                input_tokens.extend(words[sentence.key])
 
-    by_key = {s.key: s for s in surviving}
     target_tokens: list[str] = []
     for key in masked + copied:
-        target_tokens.extend(surface_tokens(by_key[key]))
+        target_tokens.extend(words[key])
     target_tokens = target_tokens[: config.output_token_limit]
 
     return MaskedExample(
@@ -236,7 +236,7 @@ def roundtrip_check(
         return RoundtripResult(False, f"masked sentences never substituted: {leftover}")
 
     reference: list[str] = []
-    ordered = sorted(surviving, key=lambda s: s.key)
+    ordered = sorted(surviving, key=by_position)
     by_doc: dict[int, list[Sentence]] = {}
     for sentence in ordered:
         by_doc.setdefault(sentence.doc_index, []).append(sentence)

@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -62,8 +61,10 @@ def process_cluster(
     example (nothing fits the budget, or every masked sentence was
     truncated away).  Diagnostic events about the cluster, such as
     ``entity_dropped``, are appended to ``events`` when it is given.
+    Sentences are normalized only for a strategy that scores them.
     """
-    sentences = segment_cluster(cluster, config.normalization, config.abbreviations)
+    normalization = config.normalization if config.selection.strategy.scores else None
+    sentences = segment_cluster(cluster, normalization, config.abbreviations)
     if not sentences:
         raise MaskingError("cluster has no sentences")
     pyramid = None
@@ -147,6 +148,9 @@ def _results(
         for cluster in clusters:
             yield _process_one(cluster, config)
         return
+    # Imported here so a one-worker run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         inflight: deque = deque()
         max_inflight = config.workers * 2

@@ -122,6 +122,8 @@ def record_score(
     sys_len | sys_text, scus: [{id, weight, covered}]}`` where
     ``covered`` is a boolean or a per-annotator list of booleans.
     """
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
     summary_id = record.get("summary_id")
     if not isinstance(summary_id, str) or not summary_id:
         raise ValueError("record needs a non-empty summary_id")

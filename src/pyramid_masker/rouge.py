@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .segment import Sentence
+from .segment import Sentence, by_position
 
 # ROUGE-L cost is quadratic, so very long sides are truncated.  4096-token
 # inputs never hit this in practice; it is a guard against degenerate data.
@@ -149,7 +149,7 @@ def salience(
 
 
 def _by_key(sentences: Iterable[Sentence]) -> list[Sentence]:
-    return sorted(sentences, key=lambda s: s.key)
+    return sorted(sentences, key=by_position)
 
 
 def principle_score(

@@ -8,7 +8,8 @@ as a package resource so segmentation is reproducible; see
 
 Normalization feeds the ROUGE scorer: lowercase, punctuation replaced by
 spaces, whitespace split, Porter stemming.  Each stage is independently
-switchable via ``NormalizationConfig``.
+switchable via ``NormalizationConfig``.  A run that does not score passes
+``None`` instead of a config and gets sentences without tokens.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from operator import attrgetter
 
 from .porter import stem
 
@@ -47,7 +49,8 @@ class Sentence:
     a cluster; it is stored at construction because scoring and
     selection read it in their inner loops.  ``tokens`` is derived from
     ``text`` under the active normalization config and is what the ROUGE
-    scorer consumes.
+    scorer consumes.  It is empty when the sentence was segmented without
+    a config, as for a strategy that does not score.
     """
 
     cluster_id: str
@@ -59,6 +62,10 @@ class Sentence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.doc_index, self.sent_index))
+
+
+# Sort key putting sentences in document order.
+by_position = attrgetter("key")
 
 
 # Punctuation (and symbol-ish ASCII leftovers) become spaces so that
@@ -112,8 +119,8 @@ def load_abbreviations(path) -> frozenset[str]:
         return _parse_abbreviation_lines(fh)
 
 
-# A terminator run plus any closing quotes/brackets attached to it.
-_TERMINATOR_RUN = re.compile(r"[.?!]+[\"'’”)\]}»›]*")
+# A terminator run (group 1) plus any closing quotes/brackets attached to it.
+_TERMINATOR_RUN = re.compile(r"([.?!]+)[\"'’”)\]}»›]*")
 _OPENING_PUNCT = "\"'([{‘“«‹"
 
 
@@ -132,8 +139,7 @@ def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
         end = match.end()
         if end < len(text) and not text[end].isspace():
             continue
-        core = "".join(ch for ch in match.group() if ch in ".?!")
-        if core == ".":
+        if match.group(1) == ".":
             dot_pos = match.start()
             if _is_abbreviation(text, dot_pos, abbreviations):
                 continue
@@ -150,10 +156,11 @@ def split_sentences(
     document: str,
     doc_index: int,
     cluster_id: str = "",
-    config: NormalizationConfig = DEFAULT_NORMALIZATION,
+    config: NormalizationConfig | None = DEFAULT_NORMALIZATION,
     abbreviations: frozenset[str] | None = None,
 ) -> list[Sentence]:
-    """Split one document into sentences with normalized tokens.
+    """Split one document into sentences with normalized tokens, or
+    with empty ``tokens`` when ``config`` is None.
 
     Joining the sentence texts with single spaces and collapsing
     whitespace reproduces the whitespace-collapsed document.  A document
@@ -181,7 +188,7 @@ def split_sentences(
                 doc_index=doc_index,
                 sent_index=len(sentences),
                 text=text,
-                tokens=tuple(normalize_tokens(text, config)),
+                tokens=() if config is None else tuple(normalize_tokens(text, config)),
             )
         )
     return sentences
@@ -189,10 +196,12 @@ def split_sentences(
 
 def segment_cluster(
     cluster,
-    config: NormalizationConfig = DEFAULT_NORMALIZATION,
+    config: NormalizationConfig | None = DEFAULT_NORMALIZATION,
     abbreviations: frozenset[str] | None = None,
 ) -> list[Sentence]:
-    """Segment every document of a cluster, in document order."""
+    """Segment every document of a cluster, in document order.  With
+    ``config`` None, no sentence is normalized and every ``tokens`` is
+    empty: only the ROUGE scorer reads them."""
     sentences: list[Sentence] = []
     for doc_index, document in enumerate(cluster.documents):
         sentences.extend(

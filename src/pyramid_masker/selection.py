@@ -21,7 +21,6 @@ cluster has a single sentence.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .entities import PyramidEntry
 from .rouge import ClusterScorer, DEFAULT_VARIANT, SalienceVariant
-from .segment import Sentence
+from .segment import Sentence, by_position
 
 
 class Strategy(Enum):
@@ -38,6 +37,12 @@ class Strategy(Enum):
     PRINCIPLE = "principle"
     LEAD = "lead"
     RANDOM = "random"
+
+    @property
+    def scores(self) -> bool:
+        """Whether the strategy ranks sentences by ROUGE, and so needs
+        their normalized tokens and a ``ClusterScorer``."""
+        return self is Strategy.ENTITY_PYRAMID or self is Strategy.PRINCIPLE
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ def compute_copy_count(total_sentences: int, mask_count: int, copy_ratio: float)
 
 
 def _ordered(sentences: Sequence[Sentence]) -> list[Sentence]:
-    return sorted(sentences, key=lambda s: s.key)
+    return sorted(sentences, key=by_position)
 
 
 def _result(
@@ -207,6 +212,8 @@ def select_lead(
 
 
 def _cluster_rng(seed: int, cluster_id: str) -> random.Random:
+    import hashlib  # only the random strategy needs it
+
     digest = hashlib.sha256(f"{seed}:{cluster_id}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -238,9 +245,9 @@ def select_sentences(
     total = len(sentences)
     mask_count = compute_mask_count(total, config.mask_ratio)
     copy_count = compute_copy_count(total, mask_count, config.copy_ratio)
-    if config.strategy is Strategy.LEAD:
-        return select_lead(sentences, mask_count, copy_count)
-    if config.strategy is Strategy.RANDOM:
+    if not config.strategy.scores:
+        if config.strategy is Strategy.LEAD:
+            return select_lead(sentences, mask_count, copy_count)
         return select_random(sentences, mask_count, copy_count, config.seed, cluster_id)
     scorer = ClusterScorer(sentences, config.variant)
     if config.strategy is Strategy.PRINCIPLE:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import pyramid_masker
 from pyramid_masker import ClusterScorer, segment_cluster
 from pyramid_masker.cli import _build_pipeline_config, build_parser, main
 from pyramid_masker.pipeline import PipelineConfig
@@ -419,6 +423,17 @@ def test_eval_pyramid_strict(tmp_path, capsys):
     assert main(["eval-pyramid", "--input", str(path), "--strict"]) == 1
 
 
+def test_eval_pyramid_reports_non_object_line(tmp_path, capsys):
+    path = tmp_path / "ann.jsonl"
+    path.write_text("[1,2]\n" + json.dumps(eval_record()) + "\n")
+    code = main(["eval-pyramid", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(json.loads(captured.out)["summaries"]) == 1
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
+
+
 # ---------------------------------------------------------------------------
 # inspect
 
@@ -439,3 +454,51 @@ def test_inspect_missing_record(tmp_path, capsys):
     path = tmp_path / "out.jsonl"
     path.write_text("")
     assert main(["inspect", "--input", str(path)]) == 1
+
+
+def test_inspect_reports_non_object_line(tmp_path, capsys):
+    record = {"cluster_id": "x", "input": ["<doc-sep>", "[sent-mask]"], "target": ["Hi."]}
+    path = tmp_path / "out.jsonl"
+    path.write_text("[1,2]\n" + json.dumps(record) + "\n")
+    code = main(["inspect", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "cluster_id        x" in captured.out
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+# Modules only a process pool or the random strategy needs.
+POOL_AND_RANDOM_ONLY = ("multiprocessing", "concurrent.futures.process", "hashlib")
+
+
+def loaded_after(code: str) -> list[str]:
+    """The POOL_AND_RANDOM_ONLY modules a fresh interpreter without
+    site-packages has loaded after running ``code``."""
+    src = Path(pyramid_masker.__file__).resolve().parent.parent
+    probe = (
+        f"{code}\nimport json, sys\n"
+        f"print(json.dumps([m for m in {POOL_AND_RANDOM_ONLY!r} if m in sys.modules]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_pool_or_hashlib():
+    assert loaded_after("import pyramid_masker.cli") == []
+
+
+def test_one_worker_lead_run_loads_no_pool_or_hashlib(corpus_path, tmp_path):
+    argv = ["mask", "--input", str(corpus_path), "--output", str(tmp_path / "out.jsonl")]
+    argv += ["--strategy", "lead", "--workers", "1"]
+    code = f"from pyramid_masker.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(code) == []

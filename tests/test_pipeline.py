@@ -22,6 +22,7 @@ from pyramid_masker import (
     run_mask,
     segment_cluster,
 )
+from pyramid_masker import segment
 from pyramid_masker.pipeline import example_to_record
 
 from synth import WILDFIRE_CLUSTER, synthetic_cluster
@@ -198,3 +199,30 @@ def test_alternate_strategies_run_end_to_end():
         assert report.processed == 4
         for line in out.splitlines():
             assert json.loads(line)["meta"]["strategy"] == strategy.value
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEAD, Strategy.RANDOM])
+def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalize_tokens called")
+
+    monkeypatch.setattr(segment, "normalize_tokens", refuse)
+    config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
+    report, _, _ = drive(make_corpus(4, seed=5), config)
+    assert report.processed == 4
+
+
+@pytest.mark.parametrize("strategy", [Strategy.PRINCIPLE, Strategy.ENTITY_PYRAMID])
+def test_scoring_strategies_normalize(strategy, monkeypatch):
+    calls = []
+    normalize = segment.normalize_tokens
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(segment, "normalize_tokens", counted)
+    config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
+    report, _, _ = drive(make_corpus(4, seed=5), config)
+    assert report.processed == 4
+    assert calls
