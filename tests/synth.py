@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from pyramid_masker import DocumentCluster
+from pyramid_masker import DocumentCluster, EntityAnnotation
 
 FILLER = [
     "fire", "crews", "wind", "acres", "ridge", "homes", "smoke", "burned",
@@ -108,3 +108,90 @@ WILDFIRE_CLUSTER = DocumentCluster(
 # that mention the shared entity.
 QUOTE_KEYS = {(1, 1), (2, 1)}
 ENTITY_KEYS = {(0, 0), (1, 0), (2, 0)}
+
+
+# Pieces of the punctuation-rich corpus: names with commas, titles and
+# initials, quotes of both styles, abbreviations the segmenter knows,
+# non-ASCII letters (precomposed and combining), digits, underscores,
+# tabs and newlines.
+_PEOPLE = [
+    "Émile Zola-Brandt", "Zoë Ørsted", "José Núñez", "Ana López",
+    "Sean O'Neil", "Dr. Alma Reyes", "Jürgen Groß", "Ngozi Okafor",
+]
+_PLACES = [
+    "Denver, Colorado", "Macon, Georgia", "Straße 9", "São Paulo",
+    "İzmir", "Köln-Deutz", "Reno, Nevada",
+]
+_ORGS = [
+    "U.S. Forest Service", "Team_7", "R2 Unit", "Pine Gulch Fire District",
+    "ACME Corp.", "Ridge Line Crew",
+]
+_OPENERS = ["Officials", "However,", "Crews", "The", "Witnesses", "Meanwhile,"]
+
+
+def _punctuated_sentence(rng: random.Random, mention: str | None) -> str:
+    words = [rng.choice(FILLER) for _ in range(rng.randint(4, 10))]
+    if mention is not None:
+        words.insert(rng.randrange(len(words) + 1), mention)
+    roll = rng.random()
+    if roll < 0.15:
+        words.insert(rng.randrange(len(words) + 1), f"{rng.randint(1, 12)} a.m.")
+    elif roll < 0.3:
+        words.insert(rng.randrange(len(words) + 1), f"{rng.randint(2, 9)},{rng.randint(100, 999)} acres")
+    elif roll < 0.4:
+        words.insert(rng.randrange(len(words) + 1), str(rng.randint(1990, 2024)))
+    if len(words) > 3 and rng.random() < 0.5:
+        i = rng.randrange(1, len(words) - 1)
+        words[i] += rng.choice([",", ";", ":"])
+    if rng.random() < 0.3:
+        words.insert(0, rng.choice(_OPENERS))
+    text = " ".join(words)
+    text = text[0].upper() + text[1:]
+    shape = rng.random()
+    if shape < 0.15:
+        return f'"{text}," {rng.choice(FILLER)} said.'
+    if shape < 0.25:
+        return f"“{text}”, officials said."
+    if shape < 0.3:
+        return f"‘{text}’!"
+    if shape < 0.4:
+        return text + "?"
+    return text + "."
+
+
+def punctuated_cluster(
+    rng: random.Random, cluster_id: str, annotate: bool = False
+) -> DocumentCluster:
+    """A cluster of 2-4 documents whose shared names carry the
+    punctuation and letters the plain synthetic text lacks.
+
+    With ``annotate`` it also carries entity annotations: one per name
+    and document that mentions it, written in a different case, plus
+    one annotation its document never contains.
+    """
+    num_docs = rng.randint(2, 4)
+    names = (
+        rng.sample(_PEOPLE, 2) + rng.sample(_PLACES, 2) + rng.sample(_ORGS, 1)
+    )
+    homes = {n: rng.sample(range(num_docs), rng.randint(1, num_docs)) for n in names}
+    documents = []
+    annotations = []
+    for doc in range(num_docs):
+        present = [n for n in names if doc in homes[n]]
+        sentences = []
+        for _ in range(rng.randint(3, 8)):
+            mention = rng.choice(present) if present and rng.random() < 0.6 else None
+            sentences.append(_punctuated_sentence(rng, mention))
+        separators = [rng.choice([" ", " ", " ", "\n", "\t", "  "]) for _ in sentences]
+        documents.append("".join(s + sep for s, sep in zip(sentences, separators)).strip())
+        for name in present:
+            if name in documents[-1]:
+                annotations.append(EntityAnnotation(name.upper(), doc))
+    if not annotate:
+        return DocumentCluster(cluster_id=cluster_id, documents=tuple(documents))
+    annotations.append(EntityAnnotation("Nowhere Mentioned", 0))
+    return DocumentCluster(
+        cluster_id=cluster_id,
+        documents=tuple(documents),
+        entity_annotations=tuple(annotations),
+    )
