@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from contextlib import ExitStack
 from operator import not_
 from typing import IO
@@ -37,8 +38,8 @@ from .segment import NormalizationConfig, Stemming, by_position, load_abbreviati
 from .selection import SelectionConfig, Strategy
 
 
-def _fatal(reason: str) -> int:
-    print(json.dumps({"event": "fatal", "reason": reason}), file=sys.stderr)
+def _fatal(reason: str, **details: str) -> int:
+    print(json.dumps({"event": "fatal", "reason": reason, **details}), file=sys.stderr)
     return 1
 
 
@@ -220,11 +221,22 @@ def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
+    """A cluster that cannot make an example is skipped inside
+    ``run_mask``; any other exception is a fault of the program, which
+    ends the run as one ``fatal`` line carrying its traceback."""
     config = _build_pipeline_config(args)
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
         sink = _open_sink(args.output, stack)
-        report = run_mask(source, sink, config)
+        try:
+            report = run_mask(source, sink, config)
+        except (CorpusError, OSError):
+            raise
+        except Exception as exc:
+            return _fatal(
+                f"internal error: {type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
     return report.exit_code
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .segment import Sentence
+from .segment import Sentence, fold_text
 
 
 class EntitySource(Enum):
@@ -41,8 +42,31 @@ class PyramidEntry:
     locations: tuple[tuple[int, int], ...]
 
 
-def normalize_surface(surface: str) -> str:
-    return " ".join(surface.split()).casefold()
+# A mention's normalized form is its folded surface, the same form as
+# the ``Sentence.folded`` text it is matched in.
+normalize_surface = fold_text
+
+
+def _is_word_char(ch: str) -> bool:
+    """Whether ``ch`` is a word character, as ``\\w`` matches in a str
+    pattern."""
+    return ch.isalnum() or ch == "_"
+
+
+def contains_mention(text: str, entity: str) -> bool:
+    """Whether ``entity`` occurs in ``text`` at token boundaries: with no
+    word character right before or after it, so "us" never matches
+    inside "usage".  Every occurrence is tried, as a regex search for
+    ``(?<!\\w)entity(?!\\w)`` would."""
+    start = text.find(entity)
+    while start >= 0:
+        end = start + len(entity)
+        if (start == 0 or not _is_word_char(text[start - 1])) and (
+            end == len(text) or not _is_word_char(text[end])
+        ):
+            return True
+        start = text.find(entity, start + 1)
+    return False
 
 
 def _mention(surface: str, doc_index: int, sent_index: int) -> EntityMention:
@@ -77,6 +101,7 @@ _FUNCTION_WORDS = frozenset(
 _TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"
 _LEADING_PUNCT = "\"'‘“«‹([{"
 
+_DIGIT = re.compile(r"\d")
 _YEAR_RE = re.compile(r"(?<!\d)[12]\d{3}(?!\d)")
 _NUMBER = r"\d{1,3}(?:,\d{3})+|\d+(?:\.\d+)?"
 _UNITS = (
@@ -88,25 +113,66 @@ _UNITS = (
 _QUANTITY_RE = re.compile(rf"(?:{_NUMBER})\s*(?:{_UNITS})\b", re.IGNORECASE)
 
 
-def _word_runs(text: str) -> Iterable[tuple[int, list[str]]]:
-    """Yield (token_position, words) for each maximal capitalized run."""
-    stripped: list[tuple[int, str]] = []
-    for pos, raw in enumerate(text.split()):
-        word = raw.strip(_TRAILING_PUNCT).lstrip(_LEADING_PUNCT)
-        stripped.append((pos, word))
+# The ASCII characters _word_runs strips from the front of a word, and
+# a run of capitalized word starts in a string of first characters.
+_ASCII_FRONT_PUNCT = re.compile(
+    "[" + re.escape("".join(c for c in _TRAILING_PUNCT + _LEADING_PUNCT if c.isascii())) + "]"
+)
+_ASCII_CAPITALS = re.compile("[A-Z]+")
+_first_char = itemgetter(0)
+
+
+def _strip_word(raw: str) -> str:
+    return raw.strip(_TRAILING_PUNCT).lstrip(_LEADING_PUNCT)
+
+
+def _is_capitalized(word: str) -> bool:
+    return bool(word) and word[0].isupper() and word[0].isalpha()
+
+
+def _word_runs(text: str) -> list[tuple[int, list[str]]]:
+    """(token_position, words) for each maximal run of capitalized
+    words, each word stripped of surrounding punctuation.
+
+    In ASCII text a word is capitalized exactly when it starts with
+    A-Z, and only a word whose raw token starts with punctuation can
+    start with something else once stripped.  So the runs are read off
+    a string of each token's first character, with only those tokens
+    checked one by one.  Other text is checked word by word."""
+    raws = text.split()
+    if not text.isascii():
+        return _word_runs_by_word(raws)
+    firsts = "".join(map(_first_char, raws))
+    if _ASCII_FRONT_PUNCT.search(firsts):
+        chars = list(firsts)
+        for match in _ASCII_FRONT_PUNCT.finditer(firsts):
+            pos = match.start()
+            chars[pos] = "A" if _is_capitalized(_strip_word(raws[pos])) else "a"
+        firsts = "".join(chars)
+    runs = []
+    for match in _ASCII_CAPITALS.finditer(firsts):
+        start, end = match.span()
+        runs.append((start, [_strip_word(raw) for raw in raws[start:end]]))
+    return runs
+
+
+def _word_runs_by_word(raws: list[str]) -> list[tuple[int, list[str]]]:
+    """``_word_runs`` for any text: every token stripped and tested."""
+    runs = []
     run: list[str] = []
     run_start = 0
-    for pos, word in stripped:
-        if word and word[0].isupper() and word[0].isalpha():
+    for pos, raw in enumerate(raws):
+        word = _strip_word(raw)
+        if _is_capitalized(word):
             if not run:
                 run_start = pos
             run.append(word)
-        else:
-            if run:
-                yield run_start, run
+        elif run:
+            runs.append((run_start, run))
             run = []
     if run:
-        yield run_start, run
+        runs.append((run_start, run))
+    return runs
 
 
 def _runs_to_mentions(sentence: Sentence) -> Iterable[EntityMention]:
@@ -131,6 +197,9 @@ def extract_entities_rules(sentences: Sequence[Sentence]) -> list[EntityMention]
     mentions: list[EntityMention] = []
     for sentence in sentences:
         mentions.extend(_runs_to_mentions(sentence))
+        # Years and quantities both start with a digit.
+        if not _DIGIT.search(sentence.text):
+            continue
         for match in _YEAR_RE.finditer(sentence.text):
             mentions.append(_mention(match.group(), sentence.doc_index, sentence.sent_index))
         for match in _QUANTITY_RE.finditer(sentence.text):
@@ -145,8 +214,8 @@ def extract_entities_provided(
 ) -> list[EntityMention]:
     """Locate caller-provided (surface, doc) annotations in the cluster.
 
-    Each annotation is pinned to the first sentence of its document that
-    contains the surface form (case-insensitive).  Annotations that
+    Each annotation is pinned to the first sentence of its document whose
+    ``folded`` text contains the surface's folded form.  Annotations that
     cannot be located are dropped so one bad record does not sink the
     cluster; each drop appends an ``entity_dropped`` event to ``events``
     when the caller passes a list to report them from.
@@ -160,7 +229,7 @@ def extract_entities_provided(
         needle = normalize_surface(ann.surface)
         hit = None
         for sentence in by_doc.get(ann.doc_index, ()):
-            if needle in " ".join(sentence.text.split()).casefold():
+            if needle in sentence.folded:
                 hit = sentence
                 break
         if hit is None:

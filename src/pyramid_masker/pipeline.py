@@ -117,7 +117,7 @@ def _process_one(cluster: DocumentCluster, config: PipelineConfig) -> tuple:
     events: list[dict] = []
     try:
         example = process_cluster(cluster, config, events)
-    except (MaskingError, ValueError) as exc:
+    except MaskingError as exc:
         return ("skip", cluster.cluster_id, str(exc), events)
     line = json.dumps(example_to_record(example, config.emit_text), ensure_ascii=False)
     return ("ok", example.cluster_id, line, events)

@@ -13,11 +13,15 @@ Two salience scores rank sentences within a cluster:
 
 The module-level functions are the readable reference implementations;
 ``ClusterScorer`` computes identical values and is what the pipeline
-uses.  It counts the n-grams of each document and of the whole cluster
-once, and gives every sentence one n-gram profile (unigram and bigram
-counts as plain dicts), built once and read by both scores.  Its
-integer overlaps are the reference's, and its float operations run in
-the same order, so its scores equal the reference's exactly.
+uses.  It numbers the cluster's tokens and bigrams with integer ids,
+counts the n-grams of each document and of the whole cluster once, and
+gives every sentence one n-gram profile, built once and read by both
+scores: for unigrams and for bigrams, the set of grams the sentence
+holds once and a dict of those it repeats.  The once-grams' overlap
+with a reference is the size of a set intersection, and only the
+repeats are counted in Python.  Its integer overlaps are the
+reference's, and its float operations run in the same order, so its
+scores equal the reference's exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from operator import add
 from typing import Iterable, Sequence
 
 from .segment import Sentence, by_position
@@ -67,23 +73,41 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _profile(tokens: Sequence[str]) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
-    """One sentence's unigram and bigram counts, as plain dicts.  A
-    sentence is short, so a dict loop beats building a ``Counter``."""
-    uni: dict[str, int] = {}
-    for token in tokens:
-        uni[token] = uni.get(token, 0) + 1
-    bi: dict[tuple[str, str], int] = {}
-    for gram in zip(tokens, tokens[1:]):
-        bi[gram] = bi.get(gram, 0) + 1
-    return uni, bi
+def _once_and_repeated(grams: Sequence[int]) -> tuple[set[int], dict[int, int] | None]:
+    """Split one sentence's n-gram ids into the set of those that occur
+    once and a dict counting those that repeat (None when none does)."""
+    once = set(grams)
+    if len(once) == len(grams):
+        return once, None
+    seen: set = set()
+    repeated: set = set()
+    for gram in grams:
+        if gram in seen:
+            repeated.add(gram)
+        else:
+            seen.add(gram)
+    once -= repeated
+    return once, {gram: grams.count(gram) for gram in repeated}
 
 
-def _overlap(cand: dict, ref: dict) -> int:
-    """Clipped n-gram overlap: each n-gram counts at most as often as it
-    appears in ``ref``."""
+def _repeated_keys(counts: dict) -> set:
+    """The keys of ``counts`` whose count is above 1."""
+    return set(compress(counts, map((1).__lt__, counts.values())))
+
+
+def _overlap_f1(overlap: int, cand_total: int, ref_total: int) -> float:
+    """The F1 of a clipped n-gram overlap, as ``rouge_n`` computes it.
+    An overlap above 0 implies that both totals are above 0."""
+    if overlap == 0:
+        return 0.0
+    return _f1(overlap / cand_total, overlap / ref_total)
+
+
+def _clipped(repeated: dict, ref: dict) -> int:
+    """The clipped overlap of a sentence's repeated n-grams with ``ref``:
+    each counts at most as often as it appears there."""
     overlap = 0
-    for gram, count in cand.items():
+    for gram, count in repeated.items():
         ref_count = ref.get(gram, 0)
         overlap += count if count < ref_count else ref_count
     return overlap
@@ -194,51 +218,71 @@ class ClusterScorer:
     functions without re-walking the cluster for every sentence.
 
     Per-document and whole-cluster n-gram counters are built once, and
-    so is each sentence's n-gram profile, which both scores read.  The
-    leave-one-out context for ``principle`` is derived from the totals
-    by subtracting the sentence's own n-grams and patching the bigrams
-    that straddle its edges.  Scores are memoized because the selection
-    loop revisits sentences across entities.  Only sentences of the
-    cluster the scorer was built from can be scored.
+    so is each sentence's n-gram profile, which both scores read.  A
+    profile holds, for unigrams and for bigrams, the set of grams the
+    sentence has once and a dict of those it repeats.  A once-gram's
+    clipped overlap with a reference is 1 exactly when the reference
+    has it, so that part of an overlap is the size of a set
+    intersection, and only the repeats are counted gram by gram.
+
+    The leave-one-out context for ``principle`` is derived from the
+    totals by subtracting the sentence's own n-grams and patching the
+    bigrams that straddle its edges.  Scores are memoized because the
+    selection loop revisits sentences across entities.  Only sentences
+    of the cluster the scorer was built from can be scored.
     """
 
     def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
         self.variant = variant
         ordered = _by_key(sentences)
-        self._profiles = {s.key: _profile(s.tokens) for s in ordered}
-        doc_tokens: dict[int, list[str]] = {}
         flat: list[str] = []
-        self._prev_last: dict[tuple[int, int], str | None] = {}
-        self._next_first: dict[tuple[int, int], str | None] = {}
-        last_nonempty: Sentence | None = None
         for s in ordered:
-            doc_tokens.setdefault(s.doc_index, []).extend(s.tokens)
-            if s.tokens:
-                self._prev_last[s.key] = last_nonempty.tokens[-1] if last_nonempty else None
-                if last_nonempty is not None:
-                    self._next_first[last_nonempty.key] = s.tokens[0]
-                last_nonempty = s
             flat.extend(s.tokens)
-        if last_nonempty is not None:
-            self._next_first[last_nonempty.key] = None
-        # (doc_index, unigrams, bigrams, length), in document order.
-        self._docs = [
-            (doc_index, Counter(tokens), _ngrams(tokens, 2), len(tokens))
-            for doc_index, tokens in sorted(doc_tokens.items())
-        ]
-        self._total_uni = Counter(flat)
-        self._total_bi = _ngrams(flat, 2)
+        # Every token of the cluster gets an integer id, and the bigram
+        # (a, b) the id a * V + b, so the bigrams are counted, hashed and
+        # intersected as ints, and the bigrams of a stretch of the
+        # cluster are a slice of one list.
+        index = dict(zip(dict.fromkeys(flat), count()))
+        vocabulary = len(index)
+        ids = list(map(index.__getitem__, flat))
+        bigram_ids = list(map(add, map(vocabulary.__mul__, ids), ids[1:]))
+        self._vocabulary = vocabulary
+        self._ids = ids
+        self._bigram_ids = bigram_ids
+
+        # Each sentence's [start, end) in ``flat``, its profile, and each
+        # document's span.
+        self._spans: dict[tuple[int, int], tuple[int, int]] = {}
+        self._profiles = {}
+        doc_spans: dict[int, list[int]] = {}
+        start = 0
+        for s in ordered:
+            end = start + len(s.tokens)
+            self._spans[s.key] = (start, end)
+            self._profiles[s.key] = (
+                *_once_and_repeated(ids[start:end]),
+                *_once_and_repeated(bigram_ids[start : max(start, end - 1)]),
+            )
+            doc_spans.setdefault(s.doc_index, [start, end])[1] = end
+            start = end
+        # (doc_index, unigrams, their key set, bigrams, their key set,
+        # unigram total, bigram total), in document order.
+        self._docs = []
+        for doc_index, (start, end) in sorted(doc_spans.items()):
+            uni = Counter(ids[start:end])
+            bi = Counter(bigram_ids[start : max(start, end - 1)])
+            length = end - start
+            self._docs.append((doc_index, uni, set(uni), bi, set(bi), length, max(0, length - 1)))
+        self._total_uni = Counter(ids)
+        self._total_bi = Counter(bigram_ids)
         self._total_len = len(flat)
+        # The grams the cluster holds more than once: a gram a sentence
+        # holds once is in its leave-one-out context exactly when it is
+        # one of these (bigrams at the sentence's seams aside).
+        self._shared_uni = _repeated_keys(self._total_uni)
+        self._shared_bi = _repeated_keys(self._total_bi)
         self._principle_cache: dict[tuple[int, int], float] = {}
         self._cluster_cache: dict[tuple[int, int], float] = {}
-
-    @staticmethod
-    def _score(overlap: int, cand_total: int, ref_total: int) -> float:
-        if overlap == 0 or cand_total == 0 or ref_total == 0:
-            return 0.0
-        precision = overlap / cand_total
-        recall = overlap / ref_total
-        return _f1(precision, recall)
 
     def _combine(self, r1: float, r2: float) -> float:
         if self.variant is SalienceVariant.R1_F1:
@@ -252,42 +296,50 @@ class ClusterScorer:
         cached = self._principle_cache.get(key)
         if cached is not None:
             return cached
-        tokens = sentence.tokens
-        ctx_len = self._total_len - len(tokens)
-        s_uni, s_bi = self._profiles[key]
+        once_uni, repeated_uni, once_bi, repeated_bi = self._profiles[key]
+        start, end = self._spans[key]
+        n = end - start
+        ctx_len = self._total_len - n
 
-        total_uni = self._total_uni
-        ov1 = 0
-        for gram, count in s_uni.items():
-            ctx = total_uni[gram] - count
-            if ctx > 0:
-                ov1 += count if count < ctx else ctx
-        r1 = self._score(ov1, len(tokens), ctx_len)
+        ov1 = len(once_uni & self._shared_uni)
+        if repeated_uni is not None:
+            total_uni = self._total_uni
+            for gram, count in repeated_uni.items():
+                ctx = total_uni[gram] - count
+                if ctx > 0:
+                    ov1 += count if count < ctx else ctx
 
         # Bigrams straddling the removed sentence: two vanish from the
         # context, one new seam bigram appears.
-        seam: dict[tuple[str, str], int] = {}
-        if tokens:
-            prev_last = self._prev_last.get(key)
-            next_first = self._next_first.get(key)
-            if prev_last is not None:
-                gram = (prev_last, tokens[0])
+        seam: dict[int, int] = {}
+        if n:
+            has_prev = start > 0
+            has_next = end < self._total_len
+            if has_prev:
+                gram = self._bigram_ids[start - 1]
                 seam[gram] = seam.get(gram, 0) - 1
-            if next_first is not None:
-                gram = (tokens[-1], next_first)
+            if has_next:
+                gram = self._bigram_ids[end - 1]
                 seam[gram] = seam.get(gram, 0) - 1
-            if prev_last is not None and next_first is not None:
-                gram = (prev_last, next_first)
+            if has_prev and has_next:
+                gram = self._ids[start - 1] * self._vocabulary + self._ids[end]
                 seam[gram] = seam.get(gram, 0) + 1
         total_bi = self._total_bi
-        ov2 = 0
-        for gram, count in s_bi.items():
-            ctx = total_bi[gram] - count + seam.get(gram, 0)
-            if ctx > 0:
-                ov2 += count if count < ctx else ctx
-        r2 = self._score(ov2, max(0, len(tokens) - 1), max(0, ctx_len - 1))
+        ov2 = len(once_bi & self._shared_bi)
+        for gram, shift in seam.items():
+            if shift and gram in once_bi:
+                # The intersection counted the gram as if unshifted.
+                ctx = total_bi[gram] - 1
+                ov2 += (ctx + shift > 0) - (ctx > 0)
+        if repeated_bi is not None:
+            for gram, count in repeated_bi.items():
+                ctx = total_bi[gram] - count + seam.get(gram, 0)
+                if ctx > 0:
+                    ov2 += count if count < ctx else ctx
 
-        score = self._combine(r1, r2)
+        score = self._combine(
+            _overlap_f1(ov1, n, ctx_len), _overlap_f1(ov2, max(0, n - 1), max(0, ctx_len - 1))
+        )
         self._principle_cache[key] = score
         return score
 
@@ -297,13 +349,18 @@ class ClusterScorer:
         if cached is not None:
             return cached
         n = len(sentence.tokens)
-        s_uni, s_bi = self._profiles[key]
+        n_bi = max(0, n - 1)
+        once_uni, repeated_uni, once_bi, repeated_bi = self._profiles[key]
         total = 0.0
-        for doc_index, doc_uni, doc_bi, doc_len in self._docs:
+        for doc_index, uni, uni_keys, bi, bi_keys, doc_len, doc_bi_len in self._docs:
             if doc_index == sentence.doc_index:
                 continue
-            r1 = self._score(_overlap(s_uni, doc_uni), n, doc_len)
-            r2 = self._score(_overlap(s_bi, doc_bi), max(0, n - 1), max(0, doc_len - 1))
-            total += self._combine(r1, r2)
+            ov1 = len(once_uni & uni_keys)
+            if repeated_uni is not None:
+                ov1 += _clipped(repeated_uni, uni)
+            ov2 = len(once_bi & bi_keys)
+            if repeated_bi is not None:
+                ov2 += _clipped(repeated_bi, bi)
+            total += self._combine(_overlap_f1(ov1, n, doc_len), _overlap_f1(ov2, n_bi, doc_bi_len))
         self._cluster_cache[key] = total
         return total

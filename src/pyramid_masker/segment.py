@@ -19,7 +19,7 @@ import string
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter
 
@@ -50,7 +50,8 @@ class Sentence:
     selection read it in their inner loops.  ``tokens`` is derived from
     ``text`` under the active normalization config and is what the ROUGE
     scorer consumes.  It is empty when the sentence was segmented without
-    a config, as for a strategy that does not score.
+    a config, as for a strategy that does not score.  ``folded`` is the
+    text entity mentions are matched in, built on first use.
     """
 
     cluster_id: str
@@ -62,6 +63,16 @@ class Sentence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.doc_index, self.sent_index))
+
+    @cached_property
+    def folded(self) -> str:
+        return fold_text(self.text)
+
+
+def fold_text(text: str) -> str:
+    """Whitespace collapsed to single spaces, then case-folded: the form
+    in which entity mentions are grouped and matched."""
+    return " ".join(text.split()).casefold()
 
 
 # Sort key putting sentences in document order.

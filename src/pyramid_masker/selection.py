@@ -22,12 +22,11 @@ cluster has a single sentence.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .entities import PyramidEntry
+from .entities import PyramidEntry, contains_mention
 from .rouge import ClusterScorer, DEFAULT_VARIANT, SalienceVariant
 from .segment import Sentence, by_position
 
@@ -126,14 +125,6 @@ def _result(
     )
 
 
-def _entity_pattern(entity: str) -> re.Pattern:
-    return re.compile(rf"(?<!\w){re.escape(entity)}(?!\w)")
-
-
-def _matchable_text(sentence: Sentence) -> str:
-    return " ".join(sentence.text.split()).casefold()
-
-
 def select_entity_pyramid(
     sentences: Sequence[Sentence],
     pyramid: Sequence[PyramidEntry],
@@ -144,15 +135,14 @@ def select_entity_pyramid(
     """One pass over the pyramid, most frequent entity first.
 
     A sentence is a candidate for an entity when the entity occurs in
-    its case-folded text at token boundaries (so "us" never matches
-    inside "usage").  A plain substring test screens sentences first;
-    it cannot reject a boundary match, which is also a substring.  Each
+    its ``folded`` text at token boundaries (``contains_mention``, so
+    "us" never matches inside "usage").  A plain substring test screens
+    sentences first; it cannot reject a boundary match.  Each
     entity contributes at most one sentence, the candidate with the
     highest cluster ROUGE; ties go to the earliest position.  Picks
     beyond ``mask_count`` become the copied set.
     """
     ordered = _ordered(sentences)
-    matchable = {s.key: _matchable_text(s) for s in ordered}
     need = mask_count + copy_count
     picked: list[tuple[tuple[int, int], float]] = []
     picked_keys: set[tuple[int, int]] = set()
@@ -160,14 +150,16 @@ def select_entity_pyramid(
     for entry in pyramid:
         if len(picked) == need:
             break
-        pattern = _entity_pattern(entry.entity)
+        entity = entry.entity
         best: Sentence | None = None
         best_score = -1.0
         for sentence in ordered:
-            if sentence.key in picked_keys:
-                continue
-            text = matchable[sentence.key]
-            if entry.entity not in text or not pattern.search(text):
+            text = sentence.folded
+            if (
+                entity not in text
+                or sentence.key in picked_keys
+                or not contains_mention(text, entity)
+            ):
                 continue
             score = scorer.cluster(sentence)
             if score > best_score:

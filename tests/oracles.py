@@ -122,6 +122,34 @@ def contains_entity_oracle(sentence_text, entity):
         start = i + 1
 
 
+# The punctuation a word sheds before its capital is tested: any of
+# these from both ends, then any of the opening marks from the front.
+ORACLE_TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"
+ORACLE_LEADING_PUNCT = "\"'‘“«‹([{"
+
+
+def word_runs_oracle(text):
+    """(token position, words) of each maximal run of capitalized
+    words, checking every whitespace token in turn."""
+    runs = []
+    current = []
+    current_start = 0
+    tokens = text.split()
+    for pos in range(len(tokens)):
+        word = tokens[pos].strip(ORACLE_TRAILING_PUNCT).lstrip(ORACLE_LEADING_PUNCT)
+        if len(word) > 0 and word[0].isupper() and word[0].isalpha():
+            if not current:
+                current_start = pos
+            current.append(word)
+        else:
+            if current:
+                runs.append((current_start, current))
+            current = []
+    if current:
+        runs.append((current_start, current))
+    return runs
+
+
 def round_half_up_oracle(x):
     import math
 

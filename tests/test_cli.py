@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pyramid_masker
-from pyramid_masker import ClusterScorer, segment_cluster
+from pyramid_masker import ClusterScorer, pipeline, segment_cluster
 from pyramid_masker.cli import _build_pipeline_config, build_parser, main
 from pyramid_masker.pipeline import PipelineConfig
 
@@ -80,6 +81,43 @@ def test_mask_missing_input_is_fatal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert events_of(captured.err)[-1]["event"] == "fatal"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mask_bug_is_fatal_not_a_skip(corpus_path, monkeypatch, capsys, workers):
+    """A ValueError from a fault in the program ends the run with one
+    fatal JSON line and exit 1; it is not reported as a skipped
+    cluster.  Worker processes are forked, so they see the patch."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("selection fault")
+
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "select_sentences", broken)
+    code = main(["mask", "--input", str(corpus_path), "--workers", str(workers)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["event"] for e in events] == ["fatal"]
+    assert events[0]["reason"] == "internal error: ValueError: selection fault"
+    assert "broken" in events[0]["traceback"]
+
+
+def crash_worker(clusters, config):
+    """Stands in for ``pipeline._process_chunk``: the worker process dies."""
+    os._exit(3)
+
+
+def test_mask_worker_crash_is_fatal(corpus_path, monkeypatch, capsys):
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "_process_chunk", crash_worker)
+    code = main(["mask", "--input", str(corpus_path), "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["event"] for e in events] == ["fatal"]
+    assert events[0]["reason"].startswith("internal error: BrokenProcessPool")
 
 
 def test_mask_strategy_flag(corpus_path, capsys):

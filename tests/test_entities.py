@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pyramid_masker import (
     DocumentCluster,
@@ -16,11 +17,15 @@ from pyramid_masker import (
 )
 from pyramid_masker.entities import (
     EntityMention,
+    _word_runs,
+    contains_mention,
     extract_entities_provided,
     extract_entities_rules,
     normalize_surface,
 )
 from pyramid_masker.segment import split_sentences
+
+from oracles import ORACLE_LEADING_PUNCT, ORACLE_TRAILING_PUNCT, word_runs_oracle
 
 
 def mentions_of(document: str, doc_index: int = 0):
@@ -203,3 +208,50 @@ def test_pyramid_frequencies_match_brute_force(seed):
 def test_normalize_surface():
     assert normalize_surface("  Grand   Junction ") == "grand junction"
     assert normalize_surface("COLORADO") == "colorado"
+
+
+# ---------------------------------------------------------------------------
+# the capitalized-run scan and the mention matcher against their references
+
+_RUN_PIECES = [
+    "Émile", "émile", "Zoë", "İzmir", "ß", "A", "Ab", "ab", "B2", "2b", "_x", "X_",
+    " ", " ", "  ", "\t", "\n", "\x1c", "-", "@", "#", "*",
+    *ORACLE_TRAILING_PUNCT, *ORACLE_LEADING_PUNCT,
+]
+_ASCII_RUN_PIECES = [p for p in _RUN_PIECES if p.isascii()]
+
+
+@given(st.lists(st.sampled_from(_ASCII_RUN_PIECES), max_size=25))
+@example(["(", "'", "Ab", " ", ".", "(", "Ab", " ", "\"", "'", "ab", "\x1c", "A", ")", ","])
+def test_word_runs_match_the_word_by_word_oracle_on_ascii(pieces):
+    text = "".join(pieces)
+    assert _word_runs(text) == word_runs_oracle(text)
+
+
+@given(st.lists(st.sampled_from(_RUN_PIECES), max_size=25))
+@example(["“", "Émile", " ", "Zoë", "”", ",", "\t", "İzmir", "\n", "ab"])
+def test_word_runs_match_the_word_by_word_oracle(pieces):
+    text = "".join(pieces)
+    assert _word_runs(text) == word_runs_oracle(text)
+
+
+def _boundary_regex(hay: str, entity: str) -> bool:
+    return re.search(rf"(?<!\w){re.escape(entity)}(?!\w)", hay) is not None
+
+
+# Word characters of several kinds (letters, digits, numerals, "_"),
+# combining marks, which are not word characters, and separators.
+_MATCH_ALPHABET = "ab_1²½٣éßΣ\u0301\u0308 ,.-'"
+
+
+@given(st.text(_MATCH_ALPHABET, max_size=30), st.data())
+@example("a\u0301 ab", None)
+def test_contains_mention_equals_the_boundary_regex(hay, data):
+    if data is None:  # the @example: "a" followed by a combining mark
+        entity = "a"
+    elif hay and data.draw(st.booleans()):
+        start = data.draw(st.integers(0, len(hay) - 1))
+        entity = hay[start : data.draw(st.integers(start + 1, len(hay)))]
+    else:
+        entity = data.draw(st.text(_MATCH_ALPHABET, min_size=1, max_size=4))
+    assert contains_mention(hay, entity) == _boundary_regex(hay, entity)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pyramid_masker import (
     ClusterScorer,
@@ -226,3 +226,36 @@ def test_salience_variants_agree_with_oracle(cand, ref):
         assert salience(cand, ref, variant) == pytest.approx(
             variant_oracle(cand, ref, variant.value), abs=1e-12
         )
+
+
+# Clusters over a three-word vocabulary, so sentences repeat unigrams and
+# bigrams, within themselves and across the seams between them.  Each
+# document is a list of sentences, each sentence a list of tokens.
+REPEAT_HEAVY_CLUSTERS = st.lists(
+    st.lists(st.lists(st.sampled_from(["go", "a", "b"]), max_size=6), min_size=1, max_size=4),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(REPEAT_HEAVY_CLUSTERS, st.sampled_from(list(SalienceVariant)))
+@example([[["go"], ["go", "go", "go"], ["go"]], [["go", "home"]]], SalienceVariant.MEAN_R1_R2_F1)
+@example([[["go", "go"], [], ["go", "go"]], [["go", "go", "go"]]], SalienceVariant.R2_F1)
+def test_scorer_matches_oracles_on_repeated_ngrams(docs, variant):
+    sentences = [
+        Sentence("rep", d, j, " ".join(tokens) or "...", tuple(tokens))
+        for d, doc in enumerate(docs)
+        for j, tokens in enumerate(doc)
+    ]
+    scorer = ClusterScorer(sentences, variant)
+    for s in sentences:
+        assert scorer.principle(s) == pytest.approx(
+            principle_oracle(s, sentences, variant.value), abs=1e-12
+        )
+        assert scorer.cluster(s) == pytest.approx(
+            cluster_rouge_oracle(s, sentences, variant.value), abs=1e-12
+        )
+        context = [o for o in sentences if o is not s]
+        assert scorer.principle(s) == principle_score(s, context, variant)
+        assert scorer.cluster(s) == cluster_rouge(s, sentences, variant)
