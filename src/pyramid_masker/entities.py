@@ -113,8 +113,8 @@ _UNITS = (
 _QUANTITY_RE = re.compile(rf"(?:{_NUMBER})\s*(?:{_UNITS})\b", re.IGNORECASE)
 
 
-# The ASCII characters _word_runs strips from the front of a word, and
-# a run of capitalized word starts in a string of first characters.
+# For ASCII text: the punctuation _strip_word can remove from the front
+# of a token, and a run of capitals in a string of first characters.
 _ASCII_FRONT_PUNCT = re.compile(
     "[" + re.escape("".join(c for c in _TRAILING_PUNCT + _LEADING_PUNCT if c.isascii())) + "]"
 )

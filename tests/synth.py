@@ -112,8 +112,7 @@ ENTITY_KEYS = {(0, 0), (1, 0), (2, 0)}
 
 # Pieces of the punctuation-rich corpus: names with commas, titles and
 # initials, quotes of both styles, abbreviations the segmenter knows,
-# non-ASCII letters (precomposed and combining), digits, underscores,
-# tabs and newlines.
+# non-ASCII letters, digits and underscores.
 _PEOPLE = [
     "Émile Zola-Brandt", "Zoë Ørsted", "José Núñez", "Ana López",
     "Sean O'Neil", "Dr. Alma Reyes", "Jürgen Groß", "Ngozi Okafor",
