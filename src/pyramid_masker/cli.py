@@ -9,12 +9,14 @@ Subcommands:
 * ``inspect``        -- readable rendering of one emitted example.
 
 Data goes to stdout, every diagnostic goes to stderr as one JSON object
-per line.  For ``mask``, settings resolve as flags over config-file
-values over defaults.  The config file is a flat JSON object whose keys
-are the ``mask`` flag names, with hyphens or underscores.  Its values
-are JSON scalars of the flag's type, and switches take ``true`` or
-``false``.  ``PYRAMID_MASKER_WORKERS`` overrides the worker count from
-either source.
+per line.  ``mask`` and ``score-sentence`` build their shared settings
+from one table, ``SETTINGS``; in both, an empty ``--abbreviations`` is
+fatal.  Settings resolve as flags over config-file values over the
+config dataclasses' defaults.  The config file is a flat JSON object
+whose keys are the ``mask`` flag names, with hyphens or underscores.
+Its values are JSON scalars of the flag's type, and switches take
+``true`` or ``false``.  ``PYRAMID_MASKER_WORKERS`` overrides the worker
+count from either source.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ import json
 import os
 import sys
 import traceback
+from collections import defaultdict
 from contextlib import ExitStack
+from enum import EnumMeta
 from operator import not_
-from typing import IO
+from typing import IO, Iterable
 
 from .entities import EntitySource
 from .ingest import CorpusError, RecordError, compute_corpus_stats, load_clusters
 from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
-from .rouge import DEFAULT_VARIANT, ClusterScorer, SalienceVariant
+from .rouge import ClusterScorer, SalienceVariant
 from .segment import NormalizationConfig, Stemming, by_position, load_abbreviations, segment_cluster
 from .selection import SelectionConfig, Strategy
 
@@ -63,66 +67,78 @@ def _open_sink(path: str, stack: ExitStack) -> IO[str]:
 
 
 # ---------------------------------------------------------------------------
-# mask settings
+# settings
 
 
-def _add_mask_settings(parser: argparse.ArgumentParser) -> list[argparse.Action]:
-    """Declare the ``mask`` settings on ``parser``.  Each is also a
-    config-file key, named by its ``dest``.  None has a default here: a
-    setting the user does not give keeps its config dataclass's default."""
-    add = parser.add_argument
-    return [
-        add("--strategy", choices=[s.value for s in Strategy]),
-        add("--mask-ratio", type=float),
-        add("--copy-ratio", type=float),
-        add("--salience-variant", choices=[v.value for v in SalienceVariant]),
-        add("--seed", type=int),
-        add("--entities", choices=[e.value for e in EntitySource]),
-        add("--input-token-limit", type=int),
-        add("--output-token-limit", type=int),
-        add("--doc-sep-token"),
-        add("--sent-mask-token"),
-        add(
-            "--no-lead-sep",
-            action="store_true",
-            default=None,
-            help="emit separators only between documents, not before the first",
-        ),
-        add("--no-lowercase", action="store_true", default=None),
-        add("--no-strip-punctuation", action="store_true", default=None),
-        add("--stemming", choices=[s.value for s in Stemming]),
-        add("--workers", type=int),
-        add("--strict", action="store_true", default=None),
-        add(
-            "--emit-text",
-            action="store_true",
-            default=None,
-            help="also write space-joined input_text/target_text fields",
-        ),
-        add("--progress-every", type=int),
-        add("--abbreviations", help="override the packaged abbreviation list"),
-    ]
+class Setting:
+    """One setting: its flag, whose dest is its config-file key; the
+    dataclass field it sets; how a given value converts to that field,
+    where an Enum's values are the flag's choices; and the flag's other
+    argparse options.  A setting not given keeps the field's default."""
+
+    def __init__(self, flag: str, config: type, field: str, convert=None, **options):
+        self.flag, self.config, self.field = flag, config, field
+        self.convert, self.options = convert, options
+        self.key = flag[2:].replace("-", "_")
 
 
-def _config_value(key: str, value, action: argparse.Action):
+SETTINGS = (
+    Setting("--strategy", SelectionConfig, "strategy", Strategy),
+    Setting("--mask-ratio", SelectionConfig, "mask_ratio", type=float),
+    Setting("--copy-ratio", SelectionConfig, "copy_ratio", type=float),
+    Setting("--salience-variant", SelectionConfig, "variant", SalienceVariant),
+    Setting("--seed", SelectionConfig, "seed", type=int),
+    Setting("--entities", PipelineConfig, "entity_source", EntitySource),
+    Setting("--input-token-limit", MaskConfig, "input_token_limit", type=int),
+    Setting("--output-token-limit", MaskConfig, "output_token_limit", type=int),
+    Setting("--doc-sep-token", MaskConfig, "doc_sep_token"),
+    Setting("--sent-mask-token", MaskConfig, "sent_mask_token"),
+    Setting("--no-lead-sep", MaskConfig, "lead_separator", not_, action="store_true",
+            help="emit separators only between documents, not before the first"),
+    Setting("--no-lowercase", NormalizationConfig, "lowercase", not_, action="store_true"),
+    Setting("--no-strip-punctuation", NormalizationConfig, "strip_punctuation", not_,
+            action="store_true"),
+    Setting("--stemming", NormalizationConfig, "stemming", Stemming),
+    Setting("--workers", PipelineConfig, "workers", type=int),
+    Setting("--strict", PipelineConfig, "strict", action="store_true"),
+    Setting("--emit-text", PipelineConfig, "emit_text", action="store_true",
+            help="also write space-joined input_text/target_text fields"),
+    Setting("--progress-every", PipelineConfig, "progress_every", type=int),
+    Setting("--abbreviations", PipelineConfig, "abbreviations", load_abbreviations,
+            help="override the packaged abbreviation list"),
+)
+# The settings ``score-sentence`` shares with ``mask``.
+SCORE_SETTINGS = tuple(s for s in SETTINGS if s.key in ("salience_variant", "abbreviations"))
+
+
+def _add_settings(parser: argparse.ArgumentParser, settings: Iterable[Setting]) -> None:
+    for s in settings:
+        options = dict(s.options, default=None)
+        if isinstance(s.convert, EnumMeta):
+            options["choices"] = [member.value for member in s.convert]
+        parser.add_argument(s.flag, **options)
+
+
+def _config_value(key: str, value, setting: Setting):
     """A config-file value, checked against its flag and converted as the
     flag converts its text.  Switches take true/false, integer settings
     whole numbers, number settings numbers and the rest strings."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if action.nargs == 0:
+    as_type = setting.options.get("type")
+    if setting.options.get("action") == "store_true":
         kind, ok = "true or false", isinstance(value, bool)
-    elif action.type is int:
+    elif as_type is int:
         kind, ok = "an integer", number and (isinstance(value, int) or value.is_integer())
-    elif action.type is float:
+    elif as_type is float:
         kind, ok = "a number", number
     else:
         kind, ok = "a string", isinstance(value, str)
     if not ok:
         raise CorpusError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    return action.type(value) if action.type else value
+    return as_type(value) if as_type else value
 
 
-def _load_config_file(path: str, settings: dict[str, argparse.Action]) -> dict:
+def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -141,17 +157,15 @@ def _load_config_file(path: str, settings: dict[str, argparse.Action]) -> dict:
     return resolved
 
 
-def _given_settings(args: argparse.Namespace) -> dict:
-    """The ``mask`` settings the user gave, by config key: flags over
-    config-file values, with ``PYRAMID_MASKER_WORKERS`` over both."""
-    settings = {action.dest: action for action in _add_mask_settings(argparse.ArgumentParser())}
-    given = _load_config_file(args.config, settings) if args.config else {}
-    for key in settings:
-        value = getattr(args, key)
-        if value is not None:
-            given[key] = value
+def _given_settings(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
+    """The settings the user gave, by config key: flags over config-file
+    values, with ``PYRAMID_MASKER_WORKERS`` over both where ``--workers``
+    exists."""
+    config = getattr(args, "config", None)
+    given = _load_config_file(config, settings) if config else {}
+    given.update((key, getattr(args, key)) for key in settings if getattr(args, key) is not None)
     env_workers = os.environ.get("PYRAMID_MASKER_WORKERS")
-    if env_workers:
+    if env_workers and "workers" in settings:
         try:
             given["workers"] = int(env_workers)
         except ValueError as exc:
@@ -159,58 +173,20 @@ def _given_settings(args: argparse.Namespace) -> dict:
     return given
 
 
-def _pick(given: dict, *names: str, **converted: tuple) -> dict:
-    """Keyword arguments for the settings in ``given``: each of ``names``
-    as it is, and each ``field=(setting, convert)`` converted."""
-    kwargs = {name: given[name] for name in names if name in given}
-    for field, (name, convert) in converted.items():
-        if name in given:
-            kwargs[field] = convert(given[name])
-    return kwargs
-
-
 def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """Settings the user did not give keep their dataclass defaults."""
-    given = _given_settings(args)
+    """The config that the settings of ``args``'s subcommand build."""
+    settings = {s.key: s for s in SETTINGS if hasattr(args, s.key)}
+    given = _given_settings(args, settings)
+    fields: dict[type, dict] = defaultdict(dict)
     try:
+        for key, value in given.items():
+            s = settings[key]
+            fields[s.config][s.field] = s.convert(value) if s.convert else value
         return PipelineConfig(
-            normalization=NormalizationConfig(
-                **_pick(
-                    given,
-                    lowercase=("no_lowercase", not_),
-                    strip_punctuation=("no_strip_punctuation", not_),
-                    stemming=("stemming", Stemming),
-                )
-            ),
-            selection=SelectionConfig(
-                **_pick(
-                    given,
-                    "mask_ratio",
-                    "copy_ratio",
-                    "seed",
-                    strategy=("strategy", Strategy),
-                    variant=("salience_variant", SalienceVariant),
-                )
-            ),
-            mask=MaskConfig(
-                **_pick(
-                    given,
-                    "input_token_limit",
-                    "output_token_limit",
-                    "doc_sep_token",
-                    "sent_mask_token",
-                    lead_separator=("no_lead_sep", not_),
-                )
-            ),
-            **_pick(
-                given,
-                "workers",
-                "strict",
-                "emit_text",
-                "progress_every",
-                entity_source=("entities", EntitySource),
-                abbreviations=("abbreviations", load_abbreviations),
-            ),
+            normalization=NormalizationConfig(**fields[NormalizationConfig]),
+            selection=SelectionConfig(**fields[SelectionConfig]),
+            mask=MaskConfig(**fields[MaskConfig]),
+            **fields[PipelineConfig],
         )
     except ValueError as exc:
         raise CorpusError(str(exc)) from exc
@@ -232,6 +208,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
             report = run_mask(source, sink, config)
         except (CorpusError, OSError):
             raise
+        except KeyboardInterrupt:
+            return _fatal("interrupted")
         except Exception as exc:
             return _fatal(
                 f"internal error: {type(exc).__name__}: {exc}",
@@ -250,8 +228,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_score_sentence(args: argparse.Namespace) -> int:
-    abbreviations = load_abbreviations(args.abbreviations) if args.abbreviations else None
-    variant = SalienceVariant(args.salience_variant)
+    config = _build_pipeline_config(args)
+    variant = config.selection.variant
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
         target = None
@@ -262,7 +240,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
     if target is None:
         wanted = args.cluster_id if args.cluster_id is not None else "<first cluster>"
         return _fatal(f"cluster {wanted!r} not found in {args.input}")
-    sentences = segment_cluster(target, abbreviations=abbreviations)
+    sentences = segment_cluster(target, abbreviations=config.abbreviations)
     scorer = ClusterScorer(sentences, variant)
     rows = [
         {
@@ -385,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--input", default="-", help="corpus JSONL path, or - for stdin")
     mask.add_argument("--output", default="-", help="output JSONL path, or - for stdout")
     mask.add_argument("--config", help="flat JSON config file; flags win over it")
-    _add_mask_settings(mask)
+    _add_settings(mask, SETTINGS)
     mask.set_defaults(func=cmd_mask)
 
     stats = sub.add_parser("stats", help="corpus-level statistics as JSON")
@@ -396,13 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score-sentence", help="per-sentence salience scores for one cluster")
     score.add_argument("--input", default="-")
     score.add_argument("--cluster-id", dest="cluster_id", help="defaults to the first cluster")
-    score.add_argument(
-        "--salience-variant",
-        choices=[v.value for v in SalienceVariant],
-        default=DEFAULT_VARIANT.value,
-        dest="salience_variant",
-    )
-    score.add_argument("--abbreviations")
+    _add_settings(score, SCORE_SETTINGS)
     score.set_defaults(func=cmd_score_sentence)
 
     pyr = sub.add_parser("eval-pyramid", help="score summaries against weighted content units")
@@ -433,9 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CorpusError as exc:
-        return _fatal(str(exc))
-    except OSError as exc:
+    except (CorpusError, OSError) as exc:
         return _fatal(str(exc))
 
 

@@ -133,6 +133,8 @@ def load_abbreviations(path) -> frozenset[str]:
 # A terminator run (group 1) plus any closing quotes/brackets attached to it.
 _TERMINATOR_RUN = re.compile(r"([.?!]+)[\"'’”)\]}»›]*")
 _OPENING_PUNCT = "\"'([{‘“«‹"
+# ``\S`` is the complement of ``str.isspace``, the test ``str.strip`` uses.
+_NON_SPACE = re.compile(r"\S")
 
 
 def _is_abbreviation(text: str, dot_pos: int, abbreviations: frozenset[str]) -> bool:
@@ -155,10 +157,10 @@ def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
             if _is_abbreviation(text, dot_pos, abbreviations):
                 continue
             # Decimal guard: a period that glues two numbers never splits.
-            before = text[dot_pos - 1] if dot_pos > 0 else ""
-            after = text[end:].lstrip()
-            if before.isdigit() and after[:1].isdigit():
-                continue
+            if dot_pos > 0 and text[dot_pos - 1].isdigit():
+                after = _NON_SPACE.search(text, end)
+                if after is not None and after.group().isdigit():
+                    continue
         ends.append(end)
     return ends
 

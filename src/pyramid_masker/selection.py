@@ -102,8 +102,13 @@ def compute_copy_count(total_sentences: int, mask_count: int, copy_ratio: float)
     return min(n, total_sentences - mask_count)
 
 
-def _ordered(sentences: Sequence[Sentence]) -> list[Sentence]:
-    return sorted(sentences, key=by_position)
+def _top_principle(
+    sentences: Sequence[Sentence], count: int, scorer: ClusterScorer
+) -> list[tuple[tuple[int, int], float]]:
+    """The ``count`` highest principle scores as (key, score) picks; ties
+    go to the earliest position."""
+    ranked = sorted(sentences, key=lambda s: (-scorer.principle(s), s.key))
+    return [(s.key, scorer.principle(s)) for s in ranked[:count]]
 
 
 def _result(
@@ -142,7 +147,7 @@ def select_entity_pyramid(
     highest cluster ROUGE; ties go to the earliest position.  Picks
     beyond ``mask_count`` become the copied set.
     """
-    ordered = _ordered(sentences)
+    ordered = sorted(sentences, key=by_position)
     need = mask_count + copy_count
     picked: list[tuple[tuple[int, int], float]] = []
     picked_keys: set[tuple[int, int]] = set()
@@ -173,10 +178,7 @@ def select_entity_pyramid(
     if len(picked) < need:
         fallback_used = True
         remaining = [s for s in ordered if s.key not in picked_keys]
-        remaining.sort(key=lambda s: (-scorer.principle(s), s.key))
-        for sentence in remaining[: need - len(picked)]:
-            picked.append((sentence.key, scorer.principle(sentence)))
-            picked_keys.add(sentence.key)
+        picked.extend(_top_principle(remaining, need - len(picked), scorer))
 
     return _result(Strategy.ENTITY_PYRAMID, picked, mask_count, fallback_used)
 
@@ -187,9 +189,7 @@ def select_principle(
     copy_count: int,
     scorer: ClusterScorer,
 ) -> SelectionResult:
-    ranked = _ordered(sentences)
-    ranked.sort(key=lambda s: (-scorer.principle(s), s.key))
-    picked = [(s.key, scorer.principle(s)) for s in ranked[: mask_count + copy_count]]
+    picked = _top_principle(sentences, mask_count + copy_count, scorer)
     return _result(Strategy.PRINCIPLE, picked, mask_count)
 
 
@@ -198,7 +198,7 @@ def select_lead(
     mask_count: int,
     copy_count: int,
 ) -> SelectionResult:
-    ordered = _ordered(sentences)
+    ordered = sorted(sentences, key=by_position)
     picked = [(s.key, 0.0) for s in ordered[: mask_count + copy_count]]
     return _result(Strategy.LEAD, picked, mask_count, with_scores=False)
 
@@ -219,7 +219,7 @@ def select_random(
 ) -> SelectionResult:
     """Sample sentences with an RNG derived from (seed, cluster_id) so a
     cluster's picks do not depend on processing order or worker count."""
-    ordered = _ordered(sentences)
+    ordered = sorted(sentences, key=by_position)
     rng = _cluster_rng(seed, cluster_id)
     chosen = rng.sample([s.key for s in ordered], mask_count + copy_count)
     picked = [(key, 0.0) for key in chosen]

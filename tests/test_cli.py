@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import pyramid_masker
-from pyramid_masker import ClusterScorer, pipeline, segment_cluster
-from pyramid_masker.cli import _build_pipeline_config, build_parser, main
+from pyramid_masker import ClusterScorer, SelectionConfig, pipeline, segment_cluster
+from pyramid_masker.cli import SETTINGS, _build_pipeline_config, build_parser, main
 from pyramid_masker.pipeline import PipelineConfig
 
 from synth import WILDFIRE_CLUSTER, synthetic_cluster
@@ -102,6 +103,57 @@ def test_mask_bug_is_fatal_not_a_skip(corpus_path, monkeypatch, capsys, workers)
     assert [e["event"] for e in events] == ["fatal"]
     assert events[0]["reason"] == "internal error: ValueError: selection fault"
     assert "broken" in events[0]["traceback"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mask_interrupt_is_fatal(corpus_path, monkeypatch, capsys, workers):
+    """Ctrl-C during a run ends it with one fatal line and exit 1."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "select_sentences", interrupted)
+    try:
+        code = main(["mask", "--input", str(corpus_path), "--workers", str(workers)])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert events == [{"event": "fatal", "reason": "interrupted"}]
+
+
+def sole_skip_reason(tmp_path, capsys, cluster: dict, *flags: str) -> str:
+    """Mask a corpus of one cluster that cannot make an example; return
+    the skip reason after checking that the run ended cleanly with exit
+    2, one ``cluster_skipped`` line and the summary."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(cluster) + "\n")
+    code = main(["mask", "--input", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["event"] for e in events] == ["cluster_skipped", "summary"]
+    assert events[1]["skipped"] == 1 and events[1]["processed"] == 0
+    return events[0]["reason"]
+
+
+def test_more_documents_than_input_tokens_is_a_skip(tmp_path, capsys):
+    cluster = {"cluster_id": "six", "documents": [f"Doc {i} said so." for i in range(6)]}
+    reason = sole_skip_reason(tmp_path, capsys, cluster, "--input-token-limit", "4")
+    assert reason.startswith("cluster untruncatable: ")
+
+
+def test_oversized_sentence_is_a_skip(tmp_path, capsys):
+    """The 100,000-token sentence wins the mask, then truncation cuts it,
+    which leaves the target empty: selection runs before truncation."""
+    huge = " ".join(["word"] * 100_000) + "."
+    cluster = {"cluster_id": "huge", "documents": [huge, "A short one."]}
+    reason = sole_skip_reason(tmp_path, capsys, cluster)
+    assert reason == "empty target: every masked sentence was truncated away"
 
 
 def crash_worker(clusters, config):
@@ -248,6 +300,18 @@ def test_each_setting_means_the_same_as_flag_and_config_key(tmp_path, monkeypatc
         assert from_flag == from_file != PipelineConfig(), key
 
 
+def test_setting_flags_are_unique():
+    flags = [s.flag for s in SETTINGS]
+    assert len(flags) == len(set(flags))
+
+
+def test_setting_targets_are_unique_dataclass_fields():
+    targets = [(s.config, s.field) for s in SETTINGS]
+    assert len(targets) == len(set(targets))
+    for config, name in targets:
+        assert name in {f.name for f in dataclasses.fields(config)}, (config, name)
+
+
 def test_attention_window_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["mask", "--attention-window", "512"])
@@ -353,6 +417,31 @@ def test_score_sentence_first_cluster(corpus_path, capsys):
         row = by_key[s.key]
         assert row["principle"] == scorer.principle(s)
         assert row["cluster_rouge"] == scorer.cluster(s)
+
+
+def test_score_sentence_default_variant_is_the_selection_default(
+    corpus_path, capsys, monkeypatch
+):
+    # score-sentence has no --workers, so it never reads the variable.
+    monkeypatch.setenv("PYRAMID_MASKER_WORKERS", "lots")
+    code = main(["score-sentence", "--input", str(corpus_path)])
+    assert code == 0
+    variant = SelectionConfig().variant
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["salience_variant"] == variant.value
+    sentences = segment_cluster(WILDFIRE_CLUSTER)
+    scorer = ClusterScorer(sentences, variant)
+    rows = payload["sentences"]
+    assert [row["cluster_rouge"] for row in rows] == [scorer.cluster(s) for s in sentences]
+
+
+def test_score_sentence_empty_abbreviations_is_fatal(corpus_path, capsys):
+    code = main(["score-sentence", "--input", str(corpus_path), "--abbreviations", ""])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["event"] for e in events] == ["fatal"]
 
 
 def test_score_sentence_selects_cluster(corpus_path, capsys):

@@ -47,6 +47,27 @@ def test_decimal_number_not_split():
     ]
 
 
+# Characters around a sentence-final period: the one before it, the
+# whitespace after it, and the first character past that whitespace.
+# ``str.isdigit`` accepts "²" and "٣" but not "½"; ``str.isspace``
+# accepts "\xa0", "\x1c", "\u2028" and "\u3000".
+@given(
+    st.sampled_from(["7", "²", "٣", "x"]),
+    st.text(alphabet=" \t\n\xa0\x1c\u2028\u3000", min_size=1, max_size=4),
+    st.sampled_from(["8", "²", "٣", "½", "x"]),
+)
+@example("7", " ", "8")
+@example("7", "\n\t", "8")
+@example("7", "\xa0", "8")
+@example("7", "\x1c", "8")
+@example("7", " ", "²")
+@example("x", " ", "8")
+def test_period_splits_unless_between_digits(before, gap, after):
+    document = f"It rose {before}.{gap}{after} more came."
+    glued = before.isdigit() and after.isdigit()
+    assert len(texts(document)) == (1 if glued else 2)
+
+
 def test_question_exclamation_and_ellipsis():
     assert texts("Really? Yes! Well... fine.") == ["Really?", "Yes!", "Well...", "fine."]
 
