@@ -9,14 +9,18 @@ Subcommands:
 * ``inspect``        -- readable rendering of one emitted example.
 
 Data goes to stdout, every diagnostic goes to stderr as one JSON object
-per line.  ``mask`` and ``score-sentence`` build their shared settings
-from one table, ``SETTINGS``; in both, an empty ``--abbreviations`` is
-fatal.  Settings resolve as flags over config-file values over the
-config dataclasses' defaults.  The config file is a flat JSON object
-whose keys are the ``mask`` flag names, with hyphens or underscores.
-Its values are JSON scalars of the flag's type, and switches take
-``true`` or ``false``.  ``PYRAMID_MASKER_WORKERS`` overrides the worker
-count from either source.
+per line.  Every subcommand reads JSONL through ``ingest.read_records``,
+which skips a bad line as a ``record_error`` event (fatal under
+``--strict``).  ``main`` ends any subcommand's fault as one ``fatal``
+line carrying the traceback, and Ctrl-C as a ``fatal`` line with the
+reason ``interrupted``; both exit 1.  ``mask`` and ``score-sentence``
+build their shared settings from one table, ``SETTINGS``; in both, an
+empty ``--abbreviations`` is fatal.  Settings resolve as flags over
+config-file values over the config dataclasses' defaults.  The config
+file is a flat JSON object whose keys are the ``mask`` flag names, with
+hyphens or underscores.  Its values are JSON scalars of the flag's type,
+and switches take ``true`` or ``false``.  ``PYRAMID_MASKER_WORKERS``
+overrides the worker count from either source.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ import sys
 import traceback
 from collections import defaultdict
 from contextlib import ExitStack
+from dataclasses import asdict
 from enum import EnumMeta
+from functools import partial
 from operator import not_
 from typing import IO, Iterable
 
 from .entities import EntitySource
-from .ingest import CorpusError, RecordError, compute_corpus_stats, load_clusters
+from .ingest import CorpusError, RecordError, compute_corpus_stats, load_clusters, read_records
 from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
@@ -48,10 +54,11 @@ def _fatal(reason: str, **details: str) -> int:
 
 
 def _record_error(error: RecordError) -> None:
-    print(
-        json.dumps({"event": "record_error", "line": error.line_number, "reason": error.reason}),
-        file=sys.stderr,
-    )
+    print(json.dumps(error.event()), file=sys.stderr)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _open_source(path: str, stack: ExitStack) -> IO[bytes]:
@@ -123,7 +130,7 @@ def _config_value(key: str, value, setting: Setting):
     """A config-file value, checked against its flag and converted as the
     flag converts its text.  Switches take true/false, integer settings
     whole numbers, number settings numbers and the rest strings."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = _is_number(value)
     as_type = setting.options.get("type")
     if setting.options.get("action") == "store_true":
         kind, ok = "true or false", isinstance(value, bool)
@@ -197,25 +204,11 @@ def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
-    """A cluster that cannot make an example is skipped inside
-    ``run_mask``; any other exception is a fault of the program, which
-    ends the run as one ``fatal`` line carrying its traceback."""
     config = _build_pipeline_config(args)
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
         sink = _open_sink(args.output, stack)
-        try:
-            report = run_mask(source, sink, config)
-        except (CorpusError, OSError):
-            raise
-        except KeyboardInterrupt:
-            return _fatal("interrupted")
-        except Exception as exc:
-            return _fatal(
-                f"internal error: {type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-            )
-    return report.exit_code
+        return run_mask(source, sink, config).exit_code
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -232,11 +225,8 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
     variant = config.selection.variant
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
-        target = None
-        for cluster in load_clusters(source, on_error=_record_error):
-            if args.cluster_id is None or cluster.cluster_id == args.cluster_id:
-                target = cluster
-                break
+        clusters = load_clusters(source, on_error=_record_error)
+        target = next((c for c in clusters if args.cluster_id in (None, c.cluster_id)), None)
     if target is None:
         wanted = args.cluster_id if args.cluster_id is not None else "<first cluster>"
         return _fatal(f"cluster {wanted!r} not found in {args.input}")
@@ -264,61 +254,39 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
 def cmd_eval_pyramid(args: argparse.Namespace) -> int:
     aggregation = CoverageAggregation(args.aggregation)
     len_unit = LengthUnit(args.len_unit)
-    results = []
-    scores = []
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
-        for line_number, raw in enumerate(source, 1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                summary_id, score = record_score(record, aggregation, len_unit)
-            except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
-                if args.strict:
-                    raise CorpusError(f"line {line_number}: {exc}") from exc
-                _record_error(RecordError(line_number, str(exc)))
-                continue
-            scores.append(score)
-            results.append(
-                {
-                    "summary_id": summary_id,
-                    "raw": score.raw,
-                    "recall": score.recall,
-                    "precision": score.precision,
-                    "f1": score.f1,
-                }
-            )
-    mean = mean_score(scores)
-    mean_dict = None
-    if mean is not None:
-        mean_dict = {
-            "raw": mean.raw,
-            "recall": mean.recall,
-            "precision": mean.precision,
-            "f1": mean.f1,
-        }
-    print(json.dumps({"summaries": results, "mean": mean_dict}))
+        parse = partial(record_score, aggregation=aggregation, len_unit=len_unit)
+        scored = list(read_records(source, parse, args.strict, _record_error))
+    results = [{"summary_id": summary_id, **asdict(score)} for summary_id, score in scored]
+    mean = mean_score(score for _, score in scored)
+    print(json.dumps({"summaries": results, "mean": asdict(mean) if mean else None}))
     return 0 if results else 2
+
+
+def _check_example(record: dict) -> dict:
+    """An emitted example with the shape ``inspect`` renders; raises
+    ValueError with a reason."""
+    meta = record.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be an object")
+    scores = meta.get("scores", {})
+    if not isinstance(scores, dict):
+        raise ValueError("meta.scores must be an object")
+    if not all(map(_is_number, scores.values())):
+        raise ValueError("every score in meta.scores must be a number")
+    for name in ("input", "target"):
+        tokens = record.get(name, [])
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{name} must be an array of strings")
+    return record
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
-        record = None
-        for line_number, raw in enumerate(source, 1):
-            if not raw.strip():
-                continue
-            try:
-                candidate = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return _fatal(f"line {line_number}: {exc}")
-            if not isinstance(candidate, dict):
-                _record_error(RecordError(line_number, "record is not a JSON object"))
-                continue
-            if args.cluster_id is None or candidate.get("cluster_id") == args.cluster_id:
-                record = candidate
-                break
+        records = read_records(source, _check_example, on_error=_record_error)
+        record = next((r for r in records if args.cluster_id in (None, r.get("cluster_id"))), None)
     if record is None:
         wanted = args.cluster_id if args.cluster_id is not None else "<first record>"
         return _fatal(f"example {wanted!r} not found in {args.input}")
@@ -340,10 +308,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     ]
     scores = meta.get("scores")
     if scores:
-        lines.append("")
-        lines.append("scores:")
-        for key, value in scores.items():
-            lines.append(f"  {key:>8}  {value:.6f}")
+        lines += ["", "scores:", *(f"  {key:>8}  {value:.6f}" for key, value in scores.items())]
     print("\n".join(lines))
     return 0
 
@@ -407,6 +372,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CorpusError, OSError) as exc:
         return _fatal(str(exc))
+    except KeyboardInterrupt:
+        return _fatal("interrupted")
+    except Exception as exc:
+        return _fatal(
+            f"internal error: {type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
+        )
 
 
 if __name__ == "__main__":

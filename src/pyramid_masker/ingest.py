@@ -7,12 +7,12 @@ Input is UTF-8 JSONL, one cluster per line:
      "entities": [{"surface": "...", "doc": 0}] # optional
     }
 
-Malformed lines never kill a run by default: each produces a
-``RecordError`` with its line number and the loader moves on.  Strict
-mode promotes the first bad record to a fatal ``CorpusError``.  Clusters
-are read one at a time, but the loader keeps every cluster id it has
-seen to reject duplicates, so its memory grows with the number of
-distinct ids in the corpus.
+``read_records`` reads every JSONL input of the package.  A malformed
+line never kills a run by default: it is a ``RecordError`` with its line
+number and the reader moves on.  Strict mode promotes the first bad
+record to a fatal ``CorpusError``.  Clusters are read one at a time, but
+the loader keeps every cluster id it has seen to reject duplicates, so
+its memory grows with the number of distinct ids in the corpus.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Iterator
+from functools import partial
+from typing import Callable, IO, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +39,9 @@ class RecordError:
 
     def __str__(self) -> str:
         return f"line {self.line_number}: {self.reason}"
+
+    def event(self) -> dict:
+        return {"event": "record_error", "line": self.line_number, "reason": self.reason}
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,9 @@ class DocumentCluster:
     entity_annotations: tuple[EntityAnnotation, ...] | None = None
 
 
-def _parse_record(record: object) -> DocumentCluster:
-    """Validate one decoded JSON value; raises ValueError with a reason."""
-    if not isinstance(record, dict):
-        raise ValueError("record is not a JSON object")
+def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
+    """Validate one decoded JSON object whose id is not in ``seen_ids``,
+    then add its id there; raises ValueError with a reason."""
     cluster_id = record.get("cluster_id")
     if not isinstance(cluster_id, str) or not cluster_id:
         raise ValueError("missing or empty cluster_id")
@@ -98,6 +103,9 @@ def _parse_record(record: object) -> DocumentCluster:
             parsed.append(EntityAnnotation(surface=surface, doc_index=doc))
         annotations = tuple(parsed)
 
+    if cluster_id in seen_ids:
+        raise ValueError(f"duplicate cluster_id {cluster_id!r}")
+    seen_ids.add(cluster_id)
     return DocumentCluster(
         cluster_id=cluster_id,
         documents=tuple(documents),
@@ -106,48 +114,46 @@ def _parse_record(record: object) -> DocumentCluster:
     )
 
 
+def read_records(
+    stream: IO[bytes],
+    parse: Callable[[dict], T],
+    strict: bool = False,
+    on_error: Callable[[RecordError], None] | None = None,
+) -> Iterator[T]:
+    """Yield ``parse(record)`` for each record of a binary JSONL stream,
+    in file order.  Blank lines are ignored.  A line that is not UTF-8,
+    not JSON or not an object, or that ``parse`` rejects with
+    ``ValueError``, is reported through ``on_error`` (default: a log
+    warning) unless ``strict``, which raises ``CorpusError`` at the first.
+    """
+    if on_error is None:
+        on_error = lambda err: log.warning("skipping record: %s", err)  # noqa: E731
+    for line_number, raw in enumerate(stream, 1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
+            item = parse(record)
+        except ValueError as exc:
+            reason = f"invalid UTF-8: {exc}" if isinstance(exc, UnicodeDecodeError) else str(exc)
+            error = RecordError(line_number, reason)
+            if strict:
+                raise CorpusError(str(error)) from exc
+            on_error(error)
+            continue
+        yield item
+
+
 def load_clusters(
     stream: IO[bytes],
     strict: bool = False,
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[DocumentCluster]:
-    """Yield clusters from a binary JSONL stream, in file order.
-
-    Blank lines are ignored.  Bad records (undecodable, unparsable,
-    invariant-violating, duplicate id) are reported through ``on_error``
-    (default: a log warning) unless ``strict``, which raises
-    ``CorpusError`` at the first one.
-    """
-    if on_error is None:
-        on_error = lambda err: log.warning("skipping record: %s", err)  # noqa: E731
-    seen_ids: set[str] = set()
-    for line_number, raw in enumerate(stream, 1):
-        if not raw.strip():
-            continue
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            error = RecordError(line_number, f"invalid UTF-8: {exc}")
-            if strict:
-                raise CorpusError(str(error)) from exc
-            on_error(error)
-            continue
-        try:
-            cluster = _parse_record(json.loads(text))
-        except (json.JSONDecodeError, ValueError) as exc:
-            error = RecordError(line_number, str(exc))
-            if strict:
-                raise CorpusError(str(error)) from exc
-            on_error(error)
-            continue
-        if cluster.cluster_id in seen_ids:
-            error = RecordError(line_number, f"duplicate cluster_id {cluster.cluster_id!r}")
-            if strict:
-                raise CorpusError(str(error))
-            on_error(error)
-            continue
-        seen_ids.add(cluster.cluster_id)
-        yield cluster
+    """Yield clusters from a binary JSONL stream, in file order, through
+    ``read_records``; a cluster whose id was seen before is a bad record."""
+    return read_records(stream, partial(_parse_record, seen_ids=set()), strict, on_error)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .entities import EntitySource, build_pyramid, extract_entities
@@ -127,19 +128,6 @@ def _process_chunk(clusters: Sequence[DocumentCluster], config: PipelineConfig) 
     return [_process_one(cluster, config) for cluster in clusters]
 
 
-def _chunks(
-    clusters: Iterable[DocumentCluster], size: int
-) -> Iterator[list[DocumentCluster]]:
-    chunk: list[DocumentCluster] = []
-    for cluster in clusters:
-        chunk.append(cluster)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _results(
     clusters: Iterable[DocumentCluster], config: PipelineConfig
 ) -> Iterator[tuple]:
@@ -154,7 +142,8 @@ def _results(
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         inflight: deque = deque()
         max_inflight = config.workers * 2
-        for chunk in _chunks(clusters, CHUNK_SIZE):
+        clusters = iter(clusters)
+        while chunk := list(islice(clusters, CHUNK_SIZE)):
             if len(inflight) == max_inflight:
                 yield from inflight.popleft().result()
             inflight.append(pool.submit(_process_chunk, chunk, config))
@@ -204,10 +193,7 @@ def run_mask(
 
     def on_record_error(error: RecordError) -> None:
         report.record_errors += 1
-        print(
-            json.dumps({"event": "record_error", "line": error.line_number, "reason": error.reason}),
-            file=diagnostics,
-        )
+        print(json.dumps(error.event()), file=diagnostics)
 
     started = time.perf_counter()
     clusters = load_clusters(source, strict=config.strict, on_error=on_record_error)

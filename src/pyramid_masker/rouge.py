@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .segment import Sentence, by_position
 
@@ -172,10 +172,6 @@ def salience(
     return (r1 + r2) / 2.0
 
 
-def _by_key(sentences: Iterable[Sentence]) -> list[Sentence]:
-    return sorted(sentences, key=by_position)
-
-
 def principle_score(
     sentence: Sentence,
     context: Sequence[Sentence],
@@ -191,7 +187,7 @@ def principle_score(
     if any(other is sentence for other in context):
         raise ValueError("context must exclude the scored sentence")
     joined: list[str] = []
-    for other in _by_key(context):
+    for other in sorted(context, key=by_position):
         joined.extend(other.tokens)
     return salience(sentence.tokens, joined, variant)
 
@@ -203,7 +199,7 @@ def cluster_rouge(
 ) -> float:
     """Sum of per-document salience against every foreign document."""
     docs: dict[int, list[str]] = {}
-    for other in _by_key(sentences):
+    for other in sorted(sentences, key=by_position):
         docs.setdefault(other.doc_index, []).extend(other.tokens)
     total = 0.0
     for doc_index in sorted(docs):
@@ -234,7 +230,7 @@ class ClusterScorer:
 
     def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
         self.variant = variant
-        ordered = _by_key(sentences)
+        ordered = sorted(sentences, key=by_position)
         flat: list[str] = []
         for s in ordered:
             flat.extend(s.tokens)

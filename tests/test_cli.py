@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pyramid_masker
-from pyramid_masker import ClusterScorer, SelectionConfig, pipeline, segment_cluster
+from pyramid_masker import ClusterScorer, SelectionConfig, cli, pipeline, segment_cluster
 from pyramid_masker.cli import SETTINGS, _build_pipeline_config, build_parser, main
 from pyramid_masker.pipeline import PipelineConfig
 
@@ -593,6 +593,101 @@ def test_inspect_reports_non_object_line(tmp_path, capsys):
     assert "cluster_id        x" in captured.out
     events = [json.loads(line) for line in captured.err.splitlines()]
     assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
+
+
+INSPECT_RECORD = {"cluster_id": "x", "input": ["<doc-sep>", "[sent-mask]"], "target": ["Hi."]}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"meta": [1]},
+        {"meta": {"scores": {"0:1": "high"}}},
+        {"input": "abc", "meta": {"scores": [1]}},
+        {"target": ["Hi.", 1]},
+    ],
+)
+def test_inspect_skips_a_record_of_the_wrong_shape(tmp_path, capsys, bad):
+    path = tmp_path / "out.jsonl"
+    lines = [json.dumps({"cluster_id": "x", **bad}), json.dumps(INSPECT_RECORD)]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["inspect", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "target:\n  Hi." in captured.out
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
+
+
+# ---------------------------------------------------------------------------
+# every subcommand: bad lines and faults
+
+# A valid record for each subcommand's input.
+VALID_RECORDS = {
+    "mask": cluster_line(WILDFIRE_CLUSTER),
+    "stats": cluster_line(WILDFIRE_CLUSTER),
+    "score-sentence": cluster_line(WILDFIRE_CLUSTER),
+    "eval-pyramid": json.dumps(eval_record()),
+    "inspect": json.dumps(INSPECT_RECORD),
+}
+
+
+@pytest.mark.parametrize("bad", [b"not json", b"[1,2]", b"\xff"], ids=["text", "array", "utf8"])
+@pytest.mark.parametrize("command", list(VALID_RECORDS))
+def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, command, bad):
+    """A bad first line is skipped as one record_error on line 1; the
+    valid record after it gives the same output and exit code as alone."""
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    valid = VALID_RECORDS[command].encode() + b"\n"
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(valid)
+    assert main([command, "--input", str(clean)]) == 0
+    expected = capsys.readouterr()
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(bad + b"\n" + valid)
+    code = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected.out != ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    expected_events = [json.loads(line)["event"] for line in expected.err.splitlines()]
+    assert [e["event"] for e in events] == ["record_error", *expected_events]
+    assert events[0]["line"] == 1
+    if bad == b"\xff":
+        assert events[0]["reason"].startswith("invalid UTF-8:")
+    if bad == b"[1,2]":
+        assert events[0]["reason"] == "record is not a JSON object"
+
+
+def test_score_sentence_fault_is_fatal(corpus_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("scorer fault")
+
+    monkeypatch.setattr(cli, "ClusterScorer", broken)
+    code = main(["score-sentence", "--input", str(corpus_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert [e["event"] for e in events] == ["fatal"]
+    assert events[0]["reason"] == "internal error: ValueError: scorer fault"
+    assert "broken" in events[0]["traceback"]
+
+
+def test_stats_interrupt_is_fatal(corpus_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "compute_corpus_stats", interrupted)
+    try:
+        code = main(["stats", "--input", str(corpus_path)])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert events == [{"event": "fatal", "reason": "interrupted"}]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pyramid_masker import (
     compute_corpus_stats,
     load_clusters,
 )
+from pyramid_masker.ingest import read_records
 
 
 def jsonl(*records) -> io.BytesIO:
@@ -136,6 +137,22 @@ def test_strict_mode_covers_duplicates():
     a = {"cluster_id": "a", "documents": ["x"]}
     with pytest.raises(CorpusError, match="duplicate"):
         list(load_clusters(jsonl(a, a), strict=True))
+
+
+def test_read_records_reports_what_parse_rejects():
+    def parse(record):
+        if record["n"] < 0:
+            raise ValueError("negative")
+        return record["n"]
+
+    stream = jsonl({"n": 1}, {"n": -1}, b"\xff", "", {"n": 2})
+    errors = []
+    assert list(read_records(stream, parse, on_error=errors.append)) == [1, 2]
+    assert [e.line_number for e in errors] == [2, 3]
+    assert errors[0].event() == {"event": "record_error", "line": 2, "reason": "negative"}
+    assert errors[1].reason.startswith("invalid UTF-8: ")
+    with pytest.raises(CorpusError, match="^line 2: negative$"):
+        list(read_records(jsonl({"n": 1}, {"n": -1}), parse, strict=True))
 
 
 def test_loader_is_lazy():
