@@ -113,12 +113,12 @@ _UNITS = (
 _QUANTITY_RE = re.compile(rf"(?:{_NUMBER})\s*(?:{_UNITS})\b", re.IGNORECASE)
 
 
-# For ASCII text: the punctuation _strip_word can remove from the front
-# of a token, and a run of capitals in a string of first characters.
-_ASCII_FRONT_PUNCT = re.compile(
-    "[" + re.escape("".join(c for c in _TRAILING_PUNCT + _LEADING_PUNCT if c.isascii())) + "]"
-)
-_ASCII_CAPITALS = re.compile("[A-Z]+")
+# The first characters of the tokens that are stripped and tested one
+# by one: any outside ASCII, and the punctuation _strip_word removes.
+# Any other first character survives stripping and is a capital
+# exactly when it is A-Z.
+_TESTED_FIRSTS = re.compile(r"[\x80-\U0010ffff" + re.escape(_TRAILING_PUNCT + _LEADING_PUNCT) + "]")
+_CAPITALS = re.compile("[A-Z]+")
 _first_char = itemgetter(0)
 
 
@@ -130,53 +130,27 @@ def _is_capitalized(word: str) -> bool:
     return bool(word) and word[0].isupper() and word[0].isalpha()
 
 
-def _word_runs(text: str) -> list[tuple[int, list[str]]]:
+def _word_runs(words: Sequence[str]) -> list[tuple[int, list[str]]]:
     """(token_position, words) for each maximal run of capitalized
-    words, each word stripped of surrounding punctuation.
-
-    In ASCII text a word is capitalized exactly when it starts with
-    A-Z, and only a word whose raw token starts with punctuation can
-    start with something else once stripped.  So the runs are read off
-    a string of each token's first character, with only those tokens
-    checked one by one.  Other text is checked word by word."""
-    raws = text.split()
-    if not text.isascii():
-        return _word_runs_by_word(raws)
-    firsts = "".join(map(_first_char, raws))
-    if _ASCII_FRONT_PUNCT.search(firsts):
+    words among a sentence's tokens, each stripped of surrounding
+    punctuation.  The runs are read off a string of the tokens' first
+    characters, in which each tested token is written "A" or "a"."""
+    firsts = "".join(map(_first_char, words))
+    if _TESTED_FIRSTS.search(firsts):
         chars = list(firsts)
-        for match in _ASCII_FRONT_PUNCT.finditer(firsts):
+        for match in _TESTED_FIRSTS.finditer(firsts):
             pos = match.start()
-            chars[pos] = "A" if _is_capitalized(_strip_word(raws[pos])) else "a"
+            chars[pos] = "A" if _is_capitalized(_strip_word(words[pos])) else "a"
         firsts = "".join(chars)
     runs = []
-    for match in _ASCII_CAPITALS.finditer(firsts):
+    for match in _CAPITALS.finditer(firsts):
         start, end = match.span()
-        runs.append((start, [_strip_word(raw) for raw in raws[start:end]]))
-    return runs
-
-
-def _word_runs_by_word(raws: list[str]) -> list[tuple[int, list[str]]]:
-    """``_word_runs`` for any text: every token stripped and tested."""
-    runs = []
-    run: list[str] = []
-    run_start = 0
-    for pos, raw in enumerate(raws):
-        word = _strip_word(raw)
-        if _is_capitalized(word):
-            if not run:
-                run_start = pos
-            run.append(word)
-        elif run:
-            runs.append((run_start, run))
-            run = []
-    if run:
-        runs.append((run_start, run))
+        runs.append((start, [_strip_word(raw) for raw in words[start:end]]))
     return runs
 
 
 def _runs_to_mentions(sentence: Sentence) -> Iterable[EntityMention]:
-    for start_pos, words in _word_runs(sentence.text):
+    for start_pos, words in _word_runs(sentence.words):
         if start_pos == 0:
             while words and words[0].casefold() in _FUNCTION_WORDS:
                 words = words[1:]

@@ -6,10 +6,11 @@ single mask token.  The target is the concatenation of the masked
 sentences' original words (then the copied sentences'), in document
 order, so a decoder can be trained to regenerate them in order.
 
-All token counts here are plain whitespace tokens of the surface text.
-A downstream trainer measuring in subwords must re-truncate to its own
-budget; these limits exist to bound example size, not to match any
-particular vocabulary.
+All token counts here are plain whitespace tokens of the surface text:
+each sentence's ``words``, split once at segmentation.  A downstream
+trainer measuring in subwords must re-truncate to its own budget; these
+limits exist to bound example size, not to match any particular
+vocabulary.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ class MaskConfig:
     def __post_init__(self) -> None:
         if self.input_token_limit <= 0 or self.output_token_limit <= 0:
             raise ValueError("token limits must be positive")
-        if not self.doc_sep_token or not self.sent_mask_token:
-            raise ValueError("special tokens must be non-empty")
+        for token in (self.doc_sep_token, self.sent_mask_token):
+            if token.split() != [token]:
+                raise ValueError(f"special token {token!r} must be one whitespace-free token")
         if self.doc_sep_token == self.sent_mask_token:
             raise ValueError("separator and mask tokens must differ")
 
@@ -50,10 +52,6 @@ class MaskedExample:
     target_tokens: tuple[str, ...]
     provenance: SelectionResult
     dropped_masked: int = 0
-
-
-def surface_tokens(sentence: Sentence) -> list[str]:
-    return sentence.text.split()
 
 
 def truncate_per_document(
@@ -74,18 +72,15 @@ def truncate_per_document(
         raise ValueError("num_docs must be at least 1")
     budget = (input_token_limit - num_docs) // num_docs
     surviving: list[Sentence] = []
-    used: dict[int, int] = {}
-    cut: set[int] = set()
+    # Each document's remaining budget; it goes negative at the first
+    # sentence that does not fit and stays negative after it.
+    left: dict[int, int] = {}
     for sentence in sorted(sentences, key=by_position):
         doc = sentence.doc_index
-        if doc in cut:
-            continue
-        cost = len(surface_tokens(sentence))
-        if used.get(doc, 0) + cost > budget:
-            cut.add(doc)
-            continue
-        used[doc] = used.get(doc, 0) + cost
-        surviving.append(sentence)
+        room = left.get(doc, budget) - len(sentence.words)
+        left[doc] = room
+        if room >= 0:
+            surviving.append(sentence)
     if not surviving:
         raise MaskingError("cluster untruncatable: no sentence fits the per-document budget")
     return surviving
@@ -104,13 +99,13 @@ def build_masked_example(
     not survive truncation are dropped from the provenance here (masked
     ones are counted, copied ones simply disappear).  Losing every
     masked sentence is an error because the example would have an empty
-    target.
+    target, and so is a surviving sentence holding a special token as a
+    word, because the example's separators and masks would be ambiguous.
     """
     surviving = sorted(surviving, key=by_position)
-    # Each surviving sentence's words, split once for input and target.
-    words = {s.key: surface_tokens(s) for s in surviving}
-    masked = tuple(k for k in selection.masked if k in words)
-    copied = tuple(k for k in selection.copied if k in words)
+    by_key = {s.key: s for s in surviving}
+    masked = tuple(k for k in selection.masked if k in by_key)
+    copied = tuple(k for k in selection.copied if k in by_key)
     dropped_masked = len(selection.masked) - len(masked)
     if not masked:
         raise MaskingError("empty target: every masked sentence was truncated away")
@@ -122,8 +117,13 @@ def build_masked_example(
         scores={k: v for k, v in selection.scores.items() if k in kept},
     )
 
+    specials = (config.doc_sep_token, config.sent_mask_token)
     by_doc: dict[int, list[Sentence]] = {}
     for sentence in surviving:
+        for token in specials:
+            # The substring test is the cheap one, and a word is a substring.
+            if token in sentence.text and token in sentence.words:
+                raise MaskingError(f"special token {token!r} in document {sentence.doc_index}")
         by_doc.setdefault(sentence.doc_index, []).append(sentence)
 
     masked_set = set(masked)
@@ -137,11 +137,11 @@ def build_masked_example(
             if sentence.key in masked_set:
                 input_tokens.append(config.sent_mask_token)
             else:
-                input_tokens.extend(words[sentence.key])
+                input_tokens.extend(sentence.words)
 
     target_tokens: list[str] = []
     for key in masked + copied:
-        target_tokens.extend(words[key])
+        target_tokens.extend(by_key[key].words)
     target_tokens = target_tokens[: config.output_token_limit]
 
     return MaskedExample(
@@ -203,7 +203,7 @@ def roundtrip_check(
 
     expected_target: list[str] = []
     for key in example.provenance.masked + example.provenance.copied:
-        expected_target.extend(surface_tokens(by_key[key]))
+        expected_target.extend(by_key[key].words)
     expected_target = expected_target[: config.output_token_limit]
     if list(example.target_tokens) != expected_target:
         return RoundtripResult(
@@ -228,7 +228,7 @@ def roundtrip_check(
                 key = next(masked_iter)
             except StopIteration:
                 return RoundtripResult(False, "more mask tokens than masked sentences")
-            substituted.extend(surface_tokens(by_key[key]))
+            substituted.extend(by_key[key].words)
         else:
             substituted.append(token)
     leftover = list(masked_iter)
@@ -244,7 +244,7 @@ def roundtrip_check(
         if config.lead_separator or doc > 0:
             reference.append(config.doc_sep_token)
         for sentence in by_doc.get(doc, ()):
-            reference.extend(surface_tokens(sentence))
+            reference.extend(sentence.words)
     if substituted != reference:
         return RoundtripResult(
             False, _first_divergence(substituted, reference, "reconstructed input")

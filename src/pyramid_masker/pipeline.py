@@ -49,6 +49,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.progress_every < 0:
+            raise ValueError("progress_every must be at least 0")
 
 
 def process_cluster(

@@ -43,15 +43,16 @@ DEFAULT_NORMALIZATION = NormalizationConfig()
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence of one document, with its normalized tokens.
+    """One sentence of one document, with its words and normalized tokens.
 
     ``key``, ``(doc_index, sent_index)``, identifies the sentence within
-    a cluster; it is stored at construction because scoring and
-    selection read it in their inner loops.  ``tokens`` is derived from
-    ``text`` under the active normalization config and is what the ROUGE
-    scorer consumes.  It is empty when the sentence was segmented without
-    a config, as for a strategy that does not score.  ``folded`` is the
-    text entity mentions are matched in, built on first use.
+    a cluster.  ``words``, the whitespace tokens of ``text``, are what
+    name runs, truncation and assembly read.  Both are stored at
+    construction, so ``text`` is split once.  ``tokens`` is derived
+    from ``text`` under the active normalization config and is what the
+    ROUGE scorer consumes.  It is empty when the sentence was segmented
+    without a config, as for a strategy that does not score.  ``folded``
+    is the text entity mentions are matched in, built on first use.
     """
 
     cluster_id: str
@@ -60,13 +61,15 @@ class Sentence:
     text: str
     tokens: tuple[str, ...] = field(default=())
     key: tuple[int, int] = field(init=False, repr=False, compare=False)
+    words: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.doc_index, self.sent_index))
+        object.__setattr__(self, "words", tuple(self.text.split()))
 
     @cached_property
     def folded(self) -> str:
-        return fold_text(self.text)
+        return " ".join(self.words).casefold()
 
 
 def fold_text(text: str) -> str:

@@ -255,6 +255,16 @@ def test_bad_strategy_value_is_fatal(corpus_path, capsys):
     assert cfg_error == 1
 
 
+def test_negative_progress_every_is_fatal(corpus_path, capsys):
+    code = main(["mask", "--input", str(corpus_path), "--progress-every", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = events_of(captured.err)
+    assert [e["event"] for e in events] == ["fatal"]
+    assert "progress_every" in events[0]["reason"]
+
+
 def test_no_settings_build_the_dataclass_defaults(monkeypatch):
     monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     assert _build_pipeline_config(build_parser().parse_args(["mask"])) == PipelineConfig()

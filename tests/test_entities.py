@@ -225,14 +225,19 @@ _ASCII_RUN_PIECES = [p for p in _RUN_PIECES if p.isascii()]
 @example(["(", "'", "Ab", " ", ".", "(", "Ab", " ", "\"", "'", "ab", "\x1c", "A", ")", ","])
 def test_word_runs_match_the_word_by_word_oracle_on_ascii(pieces):
     text = "".join(pieces)
-    assert _word_runs(text) == word_runs_oracle(text)
+    assert _word_runs(text.split()) == word_runs_oracle(text)
 
 
 @given(st.lists(st.sampled_from(_RUN_PIECES), max_size=25))
 @example(["“", "Émile", " ", "Zoë", "”", ",", "\t", "İzmir", "\n", "ab"])
+@example(["“Émile Zola” said"])
+@example(["«Zola» spoke"])
+@example(["”"])
+@example(["élan Vital"])
+@example(["ǅ Xy"])
 def test_word_runs_match_the_word_by_word_oracle(pieces):
     text = "".join(pieces)
-    assert _word_runs(text) == word_runs_oracle(text)
+    assert _word_runs(text.split()) == word_runs_oracle(text)
 
 
 def _boundary_regex(hay: str, entity: str) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,14 @@ def test_mask_config_validation():
         MaskConfig(doc_sep_token="")
     with pytest.raises(ValueError):
         MaskConfig(doc_sep_token="<x>", sent_mask_token="<x>")
+
+
+@pytest.mark.parametrize("token", ["a b", " <s>", "<s>\n", "\xa0"])
+def test_special_token_must_be_one_whitespace_free_token(token):
+    with pytest.raises(ValueError, match="whitespace-free"):
+        MaskConfig(doc_sep_token=token)
+    with pytest.raises(ValueError, match="whitespace-free"):
+        MaskConfig(sent_mask_token=token)
 
 
 def test_truncate_noop_when_budget_ample():
@@ -179,6 +188,21 @@ def test_all_masked_truncated_raises():
     sentences = [sent(0, 0, "A b.")]
     with pytest.raises(MaskingError, match="empty target"):
         build_masked_example("c", sentences, selection([(0, 3)]), MaskConfig(), 1)
+
+
+@pytest.mark.parametrize("token", ["<doc-sep>", "[sent-mask]"])
+def test_special_token_as_a_word_is_an_error(token):
+    sentences = [sent(0, 0, "A b."), sent(0, 1, f"The {token} word.")]
+    with pytest.raises(MaskingError, match=re.escape(f"special token {token!r} in document 0")):
+        build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 1)
+
+
+def test_special_token_inside_a_word_still_masks():
+    sentences = [sent(0, 0, "A b."), sent(0, 1, "x<doc-sep>y and x[sent-mask]y.")]
+    example = build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 1)
+    assert example.input_tokens == ("<doc-sep>", "[sent-mask]", "x<doc-sep>y", "and", "x[sent-mask]y.")
+    assert example.global_attention_indices == (0,)
+    assert roundtrip_check(example, sentences, MaskConfig())
 
 
 def test_output_limit_cuts_target_mid_sentence():

@@ -191,6 +191,32 @@ def test_workers_validated():
         PipelineConfig(workers=0)
 
 
+def test_progress_every_validated():
+    with pytest.raises(ValueError, match="progress_every"):
+        PipelineConfig(progress_every=-1)
+
+
+def test_special_token_in_a_document_is_one_skip_line():
+    text = "Alpha beta. The [sent-mask] token and <doc-sep> appear here. Gamma delta."
+    clusters = [
+        {"cluster_id": "special", "documents": [text]},
+        {"cluster_id": "plain", "documents": ["Alpha beta. Gamma x<doc-sep>y delta."]},
+    ]
+    corpus = "".join(json.dumps(c) + "\n" for c in clusters).encode()
+    config = PipelineConfig(selection=SelectionConfig(strategy=Strategy.LEAD))
+    report, out, events = drive(corpus, config)
+    assert (report.processed, report.skipped) == (1, 1)
+    assert [json.loads(line)["cluster_id"] for line in out.splitlines()] == ["plain"]
+    skips = [e for e in events if e["event"] == "cluster_skipped"]
+    assert skips == [
+        {
+            "event": "cluster_skipped",
+            "cluster_id": "special",
+            "reason": "special token '<doc-sep>' in document 0",
+        }
+    ]
+
+
 def test_alternate_strategies_run_end_to_end():
     corpus = make_corpus(4, seed=5)
     for strategy in Strategy:

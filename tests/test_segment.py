@@ -12,7 +12,7 @@ from pyramid_masker import (
     segment_cluster,
     split_sentences,
 )
-from pyramid_masker.segment import default_abbreviations, load_abbreviations
+from pyramid_masker.segment import Sentence, default_abbreviations, fold_text, load_abbreviations
 
 RAW = NormalizationConfig(lowercase=False, strip_punctuation=False, stemming=Stemming.NONE)
 
@@ -192,3 +192,16 @@ def test_normalize_without_stemming_is_idempotent(text):
     once = normalize_tokens(text, config)
     again = normalize_tokens(" ".join(once), config)
     assert once == again
+
+
+# Whitespace of several kinds: tab, newline, NBSP, a separator control,
+# the line separator and the ideographic space, each split on by str.split.
+_WORD_ALPHABET = "aB É\t\n\xa0\x1c\u2028\u3000.\u0301"
+
+
+@given(st.text(_WORD_ALPHABET, max_size=30))
+@example("a\u3000b\u2028C\xa0\x1cd\tÉ")
+def test_sentence_words_are_the_one_whitespace_split(text):
+    sentence = Sentence("c", 0, 0, text)
+    assert sentence.words == tuple(text.split())
+    assert sentence.folded == fold_text(text)
