@@ -18,14 +18,11 @@ its memory grows with the number of distinct ids in the corpus.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, IO, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
-
-log = logging.getLogger(__name__)
 
 
 class CorpusError(ValueError):
@@ -114,6 +111,15 @@ def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
     )
 
 
+def _log_record_error(error: RecordError) -> None:
+    """The default ``on_error``: a warning on this module's logger.
+    ``logging`` is imported here because only a caller that passes no
+    handler ever needs it."""
+    import logging
+
+    logging.getLogger(__name__).warning("skipping record: %s", error)
+
+
 def read_records(
     stream: IO[bytes],
     parse: Callable[[dict], T],
@@ -127,7 +133,7 @@ def read_records(
     warning) unless ``strict``, which raises ``CorpusError`` at the first.
     """
     if on_error is None:
-        on_error = lambda err: log.warning("skipping record: %s", err)  # noqa: E731
+        on_error = _log_record_error
     for line_number, raw in enumerate(stream, 1):
         if not raw.strip():
             continue

@@ -14,7 +14,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .entities import EntitySource, build_pyramid, extract_entities
@@ -133,18 +133,24 @@ def _process_chunk(clusters: Sequence[DocumentCluster], config: PipelineConfig) 
 def _results(
     clusters: Iterable[DocumentCluster], config: PipelineConfig
 ) -> Iterator[tuple]:
-    """Per-cluster results in input order, inline or via a bounded pool."""
-    if config.workers == 1:
+    """Per-cluster results in input order, inline or via a bounded pool.
+
+    Before a pool starts, one cluster more than a chunk is read.  An
+    input of one chunk or less, like a one-worker run, stays in this
+    process and never loads multiprocessing.
+    """
+    clusters = iter(clusters)
+    head = list(islice(clusters, CHUNK_SIZE + 1)) if config.workers > 1 else []
+    clusters = chain(head, clusters)
+    if len(head) <= CHUNK_SIZE:
         for cluster in clusters:
             yield _process_one(cluster, config)
         return
-    # Imported here so a one-worker run never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         inflight: deque = deque()
         max_inflight = config.workers * 2
-        clusters = iter(clusters)
         while chunk := list(islice(clusters, CHUNK_SIZE)):
             if len(inflight) == max_inflight:
                 yield from inflight.popleft().result()

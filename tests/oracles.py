@@ -8,6 +8,8 @@ evidence rather than a tautology.
 
 from __future__ import annotations
 
+import re
+
 
 def ngram_counts(tokens, n):
     counts = {}
@@ -126,6 +128,13 @@ def contains_entity_oracle(sentence_text, entity):
 # these from both ends, then any of the opening marks from the front.
 ORACLE_TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"
 ORACLE_LEADING_PUNCT = "\"'‘“«‹([{"
+
+# The first characters whose words the name-run scan strips and tests
+# one by one, as the class was first written: everything outside ASCII
+# and the punctuation above.
+TESTED_FIRSTS_ORACLE = re.compile(
+    r"[\x80-\U0010ffff" + re.escape(ORACLE_TRAILING_PUNCT + ORACLE_LEADING_PUNCT) + "]"
+)
 
 
 def word_runs_oracle(text):

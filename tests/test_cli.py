@@ -36,6 +36,17 @@ def corpus_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def multichunk_corpus_path(tmp_path):
+    """A corpus of three chunks, so that ``--workers 2`` starts a pool."""
+    rng = random.Random(0)
+    count = 2 * pipeline.CHUNK_SIZE + 1
+    lines = [cluster_line(synthetic_cluster(rng, f"c{i}")) for i in range(count)]
+    path = tmp_path / "multichunk.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def events_of(stderr: str) -> list[dict]:
     out = []
     for line in stderr.splitlines():
@@ -85,7 +96,7 @@ def test_mask_missing_input_is_fatal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mask_bug_is_fatal_not_a_skip(corpus_path, monkeypatch, capsys, workers):
+def test_mask_bug_is_fatal_not_a_skip(multichunk_corpus_path, monkeypatch, capsys, workers):
     """A ValueError from a fault in the program ends the run with one
     fatal JSON line and exit 1; it is not reported as a skipped
     cluster.  Worker processes are forked, so they see the patch."""
@@ -95,7 +106,7 @@ def test_mask_bug_is_fatal_not_a_skip(corpus_path, monkeypatch, capsys, workers)
 
     monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "select_sentences", broken)
-    code = main(["mask", "--input", str(corpus_path), "--workers", str(workers)])
+    code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", str(workers)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -106,7 +117,7 @@ def test_mask_bug_is_fatal_not_a_skip(corpus_path, monkeypatch, capsys, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mask_interrupt_is_fatal(corpus_path, monkeypatch, capsys, workers):
+def test_mask_interrupt_is_fatal(multichunk_corpus_path, monkeypatch, capsys, workers):
     """Ctrl-C during a run ends it with one fatal line and exit 1."""
 
     def interrupted(*args, **kwargs):
@@ -115,7 +126,7 @@ def test_mask_interrupt_is_fatal(corpus_path, monkeypatch, capsys, workers):
     monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "select_sentences", interrupted)
     try:
-        code = main(["mask", "--input", str(corpus_path), "--workers", str(workers)])
+        code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", str(workers)])
     except KeyboardInterrupt:
         pytest.fail("KeyboardInterrupt escaped main")
     captured = capsys.readouterr()
@@ -161,10 +172,10 @@ def crash_worker(clusters, config):
     os._exit(3)
 
 
-def test_mask_worker_crash_is_fatal(corpus_path, monkeypatch, capsys):
+def test_mask_worker_crash_is_fatal(multichunk_corpus_path, monkeypatch, capsys):
     monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "_process_chunk", crash_worker)
-    code = main(["mask", "--input", str(corpus_path), "--workers", "2"])
+    code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", "2"])
     captured = capsys.readouterr()
     assert code == 1
     events = [json.loads(line) for line in captured.err.splitlines()]
@@ -703,17 +714,26 @@ def test_stats_interrupt_is_fatal(corpus_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # start-up cost
 
-# Modules only a process pool or the random strategy needs.
-POOL_AND_RANDOM_ONLY = ("multiprocessing", "concurrent.futures.process", "hashlib")
+# Modules that only a process pool, the random strategy or the default
+# record-error log needs.
+LOADED_ONLY_WHEN_USED = (
+    "concurrent.futures",
+    "concurrent.futures.process",
+    "multiprocessing",
+    "hashlib",
+    "logging",
+)
 
 
 def loaded_after(code: str) -> list[str]:
-    """The POOL_AND_RANDOM_ONLY modules a fresh interpreter without
-    site-packages has loaded after running ``code``."""
+    """The LOADED_ONLY_WHEN_USED modules that running ``code`` adds to a
+    fresh interpreter without site-packages, beyond those it already
+    had."""
     src = Path(pyramid_masker.__file__).resolve().parent.parent
     probe = (
-        f"{code}\nimport json, sys\n"
-        f"print(json.dumps([m for m in {POOL_AND_RANDOM_ONLY!r} if m in sys.modules]))"
+        f"import sys\nbare = set(sys.modules)\n{code}\n"
+        "import json\nadded = set(sys.modules) - bare\n"
+        f"print(json.dumps([m for m in {LOADED_ONLY_WHEN_USED!r} if m in added]))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -732,5 +752,13 @@ def test_cli_import_loads_no_pool_or_hashlib():
 def test_one_worker_lead_run_loads_no_pool_or_hashlib(corpus_path, tmp_path):
     argv = ["mask", "--input", str(corpus_path), "--output", str(tmp_path / "out.jsonl")]
     argv += ["--strategy", "lead", "--workers", "1"]
+    code = f"from pyramid_masker.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(code) == []
+
+
+def test_one_chunk_run_at_two_workers_loads_no_pool(corpus_path, tmp_path):
+    """Five clusters are one chunk, which runs in-process at any worker count."""
+    argv = ["mask", "--input", str(corpus_path), "--output", str(tmp_path / "out.jsonl")]
+    argv += ["--workers", "2"]
     code = f"from pyramid_masker.cli import main\nassert main({argv!r}) == 0"
     assert loaded_after(code) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 from hypothesis import example, given, strategies as st
 
@@ -17,6 +18,7 @@ from pyramid_masker import (
 )
 from pyramid_masker.entities import (
     EntityMention,
+    _TESTED_FIRSTS,
     _word_runs,
     contains_mention,
     extract_entities_provided,
@@ -25,7 +27,12 @@ from pyramid_masker.entities import (
 )
 from pyramid_masker.segment import split_sentences
 
-from oracles import ORACLE_LEADING_PUNCT, ORACLE_TRAILING_PUNCT, word_runs_oracle
+from oracles import (
+    ORACLE_LEADING_PUNCT,
+    ORACLE_TRAILING_PUNCT,
+    TESTED_FIRSTS_ORACLE,
+    word_runs_oracle,
+)
 
 
 def mentions_of(document: str, doc_index: int = 0):
@@ -238,6 +245,13 @@ def test_word_runs_match_the_word_by_word_oracle_on_ascii(pieces):
 def test_word_runs_match_the_word_by_word_oracle(pieces):
     text = "".join(pieces)
     assert _word_runs(text.split()) == word_runs_oracle(text)
+
+
+def test_tested_firsts_match_the_first_class_on_every_code_point():
+    """Every code point occurs once in ``every``, so the two deletions
+    leave the same text exactly when the patterns match the same set."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _TESTED_FIRSTS.sub("", every) == TESTED_FIRSTS_ORACLE.sub("", every)
 
 
 def _boundary_regex(hay: str, entity: str) -> bool:

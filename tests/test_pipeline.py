@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import json
+import os
 import random
 
 import pytest
@@ -22,8 +24,8 @@ from pyramid_masker import (
     run_mask,
     segment_cluster,
 )
-from pyramid_masker import segment
-from pyramid_masker.pipeline import example_to_record
+from pyramid_masker import pipeline, segment
+from pyramid_masker.pipeline import CHUNK_SIZE, example_to_record
 
 from synth import WILDFIRE_CLUSTER, synthetic_cluster
 
@@ -111,6 +113,81 @@ def test_worker_counts_agree_byte_for_byte():
     _, serial, _ = drive(corpus, PipelineConfig(workers=1))
     _, parallel, _ = drive(corpus, PipelineConfig(workers=2))
     assert serial == parallel
+
+
+TEST_PROCESS = os.getpid()
+
+
+def crash_worker(clusters, config):
+    """Stands in for ``pipeline._process_chunk``: a worker process dies."""
+    if os.getpid() == TEST_PROCESS:
+        pytest.fail("_process_chunk ran in the parent process")
+    os._exit(3)
+
+
+def test_one_chunk_input_runs_in_process(monkeypatch):
+    """A pool is never started for one chunk: a worker would crash."""
+    corpus = make_corpus(CHUNK_SIZE, seed=11)
+    _, serial, _ = drive(corpus, PipelineConfig(workers=1))
+    monkeypatch.setattr(pipeline, "_process_chunk", crash_worker)
+    report, out, _ = drive(corpus, PipelineConfig(workers=2))
+    assert report.exit_code == 0
+    assert out == serial
+
+
+def untimed(events: list[dict]) -> list[dict]:
+    return [
+        {k: v for k, v in e.items() if k not in ("elapsed_s", "clusters_per_s")}
+        for e in events
+    ]
+
+
+@pytest.mark.parametrize("count", [CHUNK_SIZE, CHUNK_SIZE + 1])
+def test_chunk_edges_agree_at_any_worker_count(count):
+    """One chunk runs in-process and one more cluster starts a pool; both
+    give the bytes and events of a one-worker run.  The bad record comes
+    first, so the read-ahead does not move its event."""
+    clusters = make_corpus(count - 1, seed=13).splitlines(keepends=True)
+    special = {"cluster_id": "special", "documents": ["Alpha beta. The <doc-sep> token. Gamma."]}
+    clusters.insert(count // 2, (json.dumps(special) + "\n").encode())
+    corpus = b'{"cluster_id": "a"}\n' + b"".join(clusters)
+    runs = {w: drive(corpus, PipelineConfig(workers=w)) for w in (1, 2, 16)}
+    report, serial, events = runs[1]
+    assert (report.processed, report.skipped, report.record_errors) == (count - 1, 1, 1)
+    for workers in (2, 16):
+        _, out, parallel_events = runs[workers]
+        assert out == serial
+        assert untimed(parallel_events) == untimed(events)
+
+
+@pytest.mark.parametrize(
+    "workers, count, pool_size",
+    [
+        (2, 1, None),
+        (16, CHUNK_SIZE, None),
+        (2, CHUNK_SIZE + 1, 2),
+        (16, CHUNK_SIZE + 1, 16),
+        (3, 3 * CHUNK_SIZE + 1, 3),
+    ],
+)
+def test_pool_starts_only_past_one_chunk(monkeypatch, workers, count, pool_size):
+    """A run of one chunk starts no pool; a longer one starts the pool
+    ``--workers`` asks for.  Threads stand in for the worker processes."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    corpus = make_corpus(count, seed=17)
+    lead = SelectionConfig(strategy=Strategy.LEAD)
+    _, serial, _ = drive(corpus, PipelineConfig(selection=lead))
+    report, out, _ = drive(corpus, PipelineConfig(selection=lead, workers=workers))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert report.processed == count
+    assert out == serial
 
 
 def test_skipped_cluster_reported_not_fatal():
@@ -229,10 +306,13 @@ def test_alternate_strategies_run_end_to_end():
 
 @pytest.mark.parametrize("strategy", [Strategy.LEAD, Strategy.RANDOM])
 def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
+    """Neither the scoring tokens nor the folded text is ever built."""
+
     def refuse(*args, **kwargs):
-        raise AssertionError("normalize_tokens called")
+        raise AssertionError("normalize_tokens called or Sentence.folded read")
 
     monkeypatch.setattr(segment, "normalize_tokens", refuse)
+    monkeypatch.setattr(segment.Sentence, "folded", property(refuse))
     config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
     report, _, _ = drive(make_corpus(4, seed=5), config)
     assert report.processed == 4
