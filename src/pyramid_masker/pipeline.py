@@ -3,8 +3,8 @@
 One cluster flows through: segment -> (entities -> pyramid) -> selection
 -> per-document truncation -> example assembly -> JSON record.  The
 driver runs that pure function either inline or across a process pool,
-writing records in input order with bounded buffering, so output bytes
-are identical for any worker count.
+writing records and events in input order with bounded buffering, so
+stdout, and stderr but for its timings, are the same at any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .entities import EntitySource, build_pyramid, extract_entities
-from .ingest import CorpusError, DocumentCluster, RecordError, load_clusters
+from .ingest import CorpusError, DocumentCluster, load_clusters
 from .mask import (
     MaskConfig,
     MaskedExample,
@@ -113,45 +113,46 @@ def example_to_record(example: MaskedExample, emit_text: bool = False) -> dict:
     return record
 
 
-def _process_one(cluster: DocumentCluster, config: PipelineConfig) -> tuple:
-    """(status, cluster_id, record line or skip reason, events).  The
-    cluster's diagnostic events travel in the result, so they reach the
-    parent's diagnostics stream from any worker process."""
-    events: list[dict] = []
+def _process_one(cluster: DocumentCluster, events: list[dict], config: PipelineConfig) -> tuple:
+    """(record line or None, events).  The cluster's own events and its
+    ``cluster_skipped`` are appended to ``events``, which holds those read
+    before it, so they reach the parent's diagnostics stream in file
+    order from any worker process."""
     try:
         example = process_cluster(cluster, config, events)
     except MaskingError as exc:
-        return ("skip", cluster.cluster_id, str(exc), events)
-    line = json.dumps(example_to_record(example, config.emit_text), ensure_ascii=False)
-    return ("ok", example.cluster_id, line, events)
+        events.append(
+            {"event": "cluster_skipped", "cluster_id": cluster.cluster_id, "reason": str(exc)}
+        )
+        return None, events
+    return json.dumps(example_to_record(example, config.emit_text), ensure_ascii=False), events
 
 
-def _process_chunk(clusters: Sequence[DocumentCluster], config: PipelineConfig) -> list[tuple]:
-    return [_process_one(cluster, config) for cluster in clusters]
+def _process_chunk(items: Sequence[tuple], config: PipelineConfig) -> list[tuple]:
+    return [_process_one(cluster, events, config) for cluster, events in items]
 
 
-def _results(
-    clusters: Iterable[DocumentCluster], config: PipelineConfig
-) -> Iterator[tuple]:
-    """Per-cluster results in input order, inline or via a bounded pool.
+def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
+    """Per-cluster results for (cluster, events) items in input order,
+    inline or via a bounded pool.
 
     Before a pool starts, one cluster more than a chunk is read.  An
     input of one chunk or less, like a one-worker run, stays in this
     process and never loads multiprocessing.
     """
-    clusters = iter(clusters)
-    head = list(islice(clusters, CHUNK_SIZE + 1)) if config.workers > 1 else []
-    clusters = chain(head, clusters)
+    items = iter(items)
+    head = list(islice(items, CHUNK_SIZE + 1)) if config.workers > 1 else []
+    items = chain(head, items)
     if len(head) <= CHUNK_SIZE:
-        for cluster in clusters:
-            yield _process_one(cluster, config)
+        for cluster, events in items:
+            yield _process_one(cluster, events, config)
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         inflight: deque = deque()
         max_inflight = config.workers * 2
-        while chunk := list(islice(clusters, CHUNK_SIZE)):
+        while chunk := list(islice(items, CHUNK_SIZE)):
             if len(inflight) == max_inflight:
                 yield from inflight.popleft().result()
             inflight.append(pool.submit(_process_chunk, chunk, config))
@@ -191,51 +192,49 @@ def run_mask(
 ) -> RunReport:
     """Mask a whole corpus stream, writing one JSON line per success.
 
-    Per-cluster failures and bad input records are counted and reported
-    on the diagnostics stream (stderr by default); under ``strict`` the
-    first bad record raises ``CorpusError`` instead.
+    Bad input records and per-cluster failures are counted and reported
+    on the diagnostics stream (stderr by default), each in file order
+    with the events of the clusters around it, whatever the worker
+    count.  Under ``strict`` the first of them raises ``CorpusError``
+    instead, so the records written before it do not depend on the
+    worker count either.
     """
     if diagnostics is None:
         diagnostics = sys.stderr
     report = RunReport()
+    pending: list[dict] = []
 
-    def on_record_error(error: RecordError) -> None:
-        report.record_errors += 1
-        print(json.dumps(error.event()), file=diagnostics)
+    def clusters_with_events() -> Iterator[tuple[DocumentCluster, list[dict]]]:
+        """Each cluster with the ``record_error`` events read just before it."""
+        for cluster in load_clusters(source, on_error=lambda error: pending.append(error.event())):
+            yield cluster, pending.copy()
+            pending.clear()
+
+    def emit(events: list[dict]) -> None:
+        for event in events:
+            kind = event["event"]
+            if config.strict and kind == "record_error":
+                raise CorpusError(f"line {event['line']}: {event['reason']}")
+            if config.strict and kind == "cluster_skipped":
+                raise CorpusError(f"cluster {event['cluster_id']!r}: {event['reason']}")
+            report.record_errors += kind == "record_error"
+            print(json.dumps(event), file=diagnostics)
 
     started = time.perf_counter()
-    clusters = load_clusters(source, strict=config.strict, on_error=on_record_error)
-    for result in _results(clusters, config):
-        for event in result[3]:
-            print(json.dumps(event), file=diagnostics)
-        if result[0] == "ok":
-            report.processed += 1
-            sink.write(result[2])
-            sink.write("\n")
-        else:
+    for line, events in _results(clusters_with_events(), config):
+        emit(events)
+        if line is None:
             report.skipped += 1
-            if config.strict:
-                raise CorpusError(f"cluster {result[1]!r}: {result[2]}")
-            print(
-                json.dumps(
-                    {"event": "cluster_skipped", "cluster_id": result[1], "reason": result[2]}
-                ),
-                file=diagnostics,
-            )
+        else:
+            report.processed += 1
+            sink.write(line)
+            sink.write("\n")
         done = report.processed + report.skipped
         if config.progress_every and done % config.progress_every == 0:
-            print(
-                json.dumps(
-                    {
-                        "event": "progress",
-                        "done": done,
-                        "processed": report.processed,
-                        "skipped": report.skipped,
-                        "elapsed_s": round(time.perf_counter() - started, 3),
-                    }
-                ),
-                file=diagnostics,
-            )
+            report.elapsed_s = time.perf_counter() - started
+            progress = {**report.to_json_dict(), "event": "progress", "done": done}
+            print(json.dumps(progress), file=diagnostics)
+    emit(pending)
     report.elapsed_s = time.perf_counter() - started
     print(json.dumps(report.to_json_dict()), file=diagnostics)
     return report

@@ -223,9 +223,10 @@ class ClusterScorer:
 
     The leave-one-out context for ``principle`` is derived from the
     totals by subtracting the sentence's own n-grams and patching the
-    bigrams that straddle its edges.  Scores are memoized because the
-    selection loop revisits sentences across entities.  Only sentences
-    of the cluster the scorer was built from can be scored.
+    bigrams that straddle its edges.  ``cluster`` scores are memoized
+    because the selection loop revisits sentences across entities; each
+    ``principle`` score is asked for once.  Only sentences of the
+    cluster the scorer was built from can be scored.
     """
 
     def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
@@ -277,7 +278,6 @@ class ClusterScorer:
         # one of these (bigrams at the sentence's seams aside).
         self._shared_uni = _repeated_keys(self._total_uni)
         self._shared_bi = _repeated_keys(self._total_bi)
-        self._principle_cache: dict[tuple[int, int], float] = {}
         self._cluster_cache: dict[tuple[int, int], float] = {}
 
     def _combine(self, r1: float, r2: float) -> float:
@@ -289,9 +289,6 @@ class ClusterScorer:
 
     def principle(self, sentence: Sentence) -> float:
         key = sentence.key
-        cached = self._principle_cache.get(key)
-        if cached is not None:
-            return cached
         once_uni, repeated_uni, once_bi, repeated_bi = self._profiles[key]
         start, end = self._spans[key]
         n = end - start
@@ -333,11 +330,9 @@ class ClusterScorer:
                 if ctx > 0:
                     ov2 += count if count < ctx else ctx
 
-        score = self._combine(
+        return self._combine(
             _overlap_f1(ov1, n, ctx_len), _overlap_f1(ov2, max(0, n - 1), max(0, ctx_len - 1))
         )
-        self._principle_cache[key] = score
-        return score
 
     def cluster(self, sentence: Sentence) -> float:
         key = sentence.key

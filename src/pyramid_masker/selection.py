@@ -106,9 +106,9 @@ def _top_principle(
     sentences: Sequence[Sentence], count: int, scorer: ClusterScorer
 ) -> list[tuple[tuple[int, int], float]]:
     """The ``count`` highest principle scores as (key, score) picks; ties
-    go to the earliest position."""
-    ranked = sorted(sentences, key=lambda s: (-scorer.principle(s), s.key))
-    return [(s.key, scorer.principle(s)) for s in ranked[:count]]
+    go to the earliest position.  Each sentence is scored once."""
+    ranked = sorted((-scorer.principle(s), s.key) for s in sentences)
+    return [(key, -negated) for negated, key in ranked[:count]]
 
 
 def _result(

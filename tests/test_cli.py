@@ -136,6 +136,58 @@ def test_mask_interrupt_is_fatal(multichunk_corpus_path, monkeypatch, capsys, wo
     assert events == [{"event": "fatal", "reason": "interrupted"}]
 
 
+def strict_runs(path, capsys, *flags: str) -> list[tuple]:
+    """(exit code, stdout, stderr events) of ``mask --strict`` at workers 1 and 2."""
+    runs = []
+    for workers in (1, 2):
+        code = main(["mask", "--input", str(path), "--strict", "--workers", str(workers), *flags])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, [json.loads(line) for line in captured.err.splitlines()]))
+    return runs
+
+
+def insert_line(path, index: int, line: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(index, line + "\n")
+    path.write_text("".join(lines))
+
+
+def test_strict_bad_line_past_the_first_chunk(multichunk_corpus_path, monkeypatch, capsys):
+    """Under --strict the records above the first bad line are written,
+    then one fatal line, whether or not a pool reads ahead of it."""
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    insert_line(multichunk_corpus_path, 36, "not json")
+    serial, parallel = strict_runs(multichunk_corpus_path, capsys)
+    assert parallel == serial
+    code, out, events = serial
+    assert code == 1
+    assert [json.loads(line)["cluster_id"] for line in out.splitlines()] == [
+        f"c{i}" for i in range(36)
+    ]
+    assert [e["event"] for e in events] == ["fatal"]
+    assert events[0]["reason"].startswith("line 37: ")
+
+
+def test_strict_skip_prints_the_clusters_events_first(multichunk_corpus_path, monkeypatch, capsys):
+    """A cluster skipped under --strict prints its own events, then the
+    fatal line in place of its cluster_skipped."""
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    special = {
+        "cluster_id": "special",
+        "documents": ["Alpha beta. The <doc-sep> token. Gamma."],
+        "entities": [{"surface": "Zed", "doc": 0}],
+    }
+    insert_line(multichunk_corpus_path, 40, json.dumps(special))
+    serial, parallel = strict_runs(multichunk_corpus_path, capsys, "--entities", "provided")
+    assert parallel == serial
+    code, out, events = serial
+    assert code == 1
+    assert len(out.splitlines()) == 40
+    assert [e["event"] for e in events] == ["entity_dropped", "fatal"]
+    assert events[0]["cluster_id"] == "special"
+    assert events[1]["reason"].startswith("cluster 'special': ")
+
+
 def sole_skip_reason(tmp_path, capsys, cluster: dict, *flags: str) -> str:
     """Mask a corpus of one cluster that cannot make an example; return
     the skip reason after checking that the run ended cleanly with exit

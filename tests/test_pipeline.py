@@ -145,15 +145,17 @@ def untimed(events: list[dict]) -> list[dict]:
 @pytest.mark.parametrize("count", [CHUNK_SIZE, CHUNK_SIZE + 1])
 def test_chunk_edges_agree_at_any_worker_count(count):
     """One chunk runs in-process and one more cluster starts a pool; both
-    give the bytes and events of a one-worker run.  The bad record comes
-    first, so the read-ahead does not move its event."""
+    give the bytes and events of a one-worker run, progress included.
+    Bad records come before, between and after the clusters."""
     clusters = make_corpus(count - 1, seed=13).splitlines(keepends=True)
     special = {"cluster_id": "special", "documents": ["Alpha beta. The <doc-sep> token. Gamma."]}
-    clusters.insert(count // 2, (json.dumps(special) + "\n").encode())
-    corpus = b'{"cluster_id": "a"}\n' + b"".join(clusters)
-    runs = {w: drive(corpus, PipelineConfig(workers=w)) for w in (1, 2, 16)}
+    clusters.insert(count // 2, (json.dumps(special) + "\n").encode() + b"not json\n")
+    corpus = b'{"cluster_id": "a"}\n' + b"".join(clusters) + b"[1, 2]\n"
+    runs = {w: drive(corpus, PipelineConfig(workers=w, progress_every=5)) for w in (1, 2, 16)}
     report, serial, events = runs[1]
-    assert (report.processed, report.skipped, report.record_errors) == (count - 1, 1, 1)
+    assert (report.processed, report.skipped, report.record_errors) == (count - 1, 1, 3)
+    kinds = [e["event"] for e in events if e["event"] != "progress"]
+    assert kinds == ["record_error", "cluster_skipped", "record_error", "record_error", "summary"]
     for workers in (2, 16):
         _, out, parallel_events = runs[workers]
         assert out == serial
@@ -249,6 +251,16 @@ def test_progress_events():
     _, _, events = drive(make_corpus(25), PipelineConfig(progress_every=10))
     progress = [e for e in events if e["event"] == "progress"]
     assert [e["done"] for e in progress] == [10, 20]
+
+
+def test_progress_event_carries_the_summary_counts():
+    corpus = b"not json\n" + make_corpus(10)
+    _, _, events = drive(corpus, PipelineConfig(progress_every=10))
+    progress = [e for e in events if e["event"] == "progress"]
+    assert [
+        (e["done"], e["processed"], e["skipped"], e["record_errors"]) for e in progress
+    ] == [(10, 10, 0, 1)]
+    assert progress[0].keys() == events[-1].keys() | {"done"}
 
 
 def test_progress_can_be_disabled():

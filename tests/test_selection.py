@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,34 @@ def test_entity_pyramid_without_fallback():
     result = select_entity_pyramid(sentences, pyramid, 1, 0, scorer)
     assert not result.fallback_used
     assert result.copied == ()
+
+
+class CountingScorer(ClusterScorer):
+    def __init__(self, sentences):
+        super().__init__(sentences)
+        self.principle_calls: Counter = Counter()
+
+    def principle(self, sentence):
+        self.principle_calls[sentence.key] += 1
+        return super().principle(sentence)
+
+
+def test_principle_ranking_scores_each_sentence_once():
+    """``select_principle`` and the ``entity_pyramid`` fallback ask for
+    each ranked sentence's principle score exactly once."""
+    sentences = wildfire_sentences()
+    scorer = CountingScorer(sentences)
+    result = select_principle(sentences, 1, 1, scorer)
+    assert scorer.principle_calls == Counter(s.key for s in sentences)
+    fresh = ClusterScorer(sentences)
+    by_key = {s.key: s for s in sentences}
+    assert result.scores == {key: fresh.principle(by_key[key]) for key in result.scores}
+
+    pyramid = build_pyramid(extract_entities(sentences), len(WILDFIRE_CLUSTER.documents))
+    scorer = CountingScorer(sentences)
+    result = select_entity_pyramid(sentences, pyramid, 1, 1, scorer)
+    assert result.fallback_used and result.masked == ((0, 0),)
+    assert scorer.principle_calls == Counter(s.key for s in sentences if s.key != (0, 0))
 
 
 def test_entity_match_respects_token_boundaries():
