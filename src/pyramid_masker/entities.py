@@ -102,15 +102,19 @@ _TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"
 _LEADING_PUNCT = "\"'‘“«‹([{"
 
 _DIGIT = re.compile(r"\d")
-_YEAR_RE = re.compile(r"(?<!\d)[12]\d{3}(?!\d)")
-_NUMBER = r"\d{1,3}(?:,\d{3})+|\d+(?:\.\d+)?"
+# Both patterns start with a character class, not a lookbehind or a
+# group, so the regex engine jumps straight to the candidate positions.
+# The year's lookbehind, placed after its first digit, looks at the
+# character before that digit.
+_YEAR_RE = re.compile(r"[12](?<!\d.)\d{3}(?!\d)")
+_NUMBER = r"\d(?:\d{0,2}(?:,\d{3})+|\d*(?:\.\d+)?)"
 _UNITS = (
     "acres?|hectares?|miles?|kilometers?|km|meters?|feet|ft|"
     "percent|kg|tons?|tonnes?|pounds?|lbs|"
     "people|residents|homes?|houses?|buildings?|structures?|firefighters?|"
     "dollars?|euros?|billion|million|thousand"
 )
-_QUANTITY_RE = re.compile(rf"(?:{_NUMBER})\s*(?:{_UNITS})\b", re.IGNORECASE)
+_QUANTITY_RE = re.compile(rf"{_NUMBER}\s*(?:{_UNITS})\b", re.IGNORECASE)
 
 
 # The first characters of the tokens that are stripped and tested one

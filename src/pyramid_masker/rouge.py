@@ -13,15 +13,16 @@ Two salience scores rank sentences within a cluster:
 
 The module-level functions are the readable reference implementations;
 ``ClusterScorer`` computes identical values and is what the pipeline
-uses.  It numbers the cluster's tokens and bigrams with integer ids,
-counts the n-grams of each document and of the whole cluster once, and
-gives every sentence one n-gram profile, built once and read by both
-scores: for unigrams and for bigrams, the set of grams the sentence
-holds once and a dict of those it repeats.  The once-grams' overlap
-with a reference is the size of a set intersection, and only the
-repeats are counted in Python.  Its integer overlaps are the
-reference's, and its float operations run in the same order, so its
-scores equal the reference's exactly.
+uses.  It numbers the cluster's tokens and bigrams with integer ids and
+counts the n-grams of each document and of the whole cluster once.  Per
+sentence it keeps only the sentence's span of the cluster and, once
+scored, its two floats.  A sentence's n-gram profile -- for unigrams and
+for bigrams, the set of grams the sentence holds once and a dict of
+those it repeats -- is built from its span when it is scored and then
+let go.  The once-grams' overlap with a reference is the size of a set
+intersection, and only the repeats are counted in Python.  Its integer
+overlaps are the reference's, and its float operations run in the same
+order, so its scores equal the reference's exactly.
 """
 
 from __future__ import annotations
@@ -213,20 +214,25 @@ class ClusterScorer:
     """Counter-based scorer giving the same numbers as the module
     functions without re-walking the cluster for every sentence.
 
-    Per-document and whole-cluster n-gram counters are built once, and
-    so is each sentence's n-gram profile, which both scores read.  A
-    profile holds, for unigrams and for bigrams, the set of grams the
-    sentence has once and a dict of those it repeats.  A once-gram's
-    clipped overlap with a reference is 1 exactly when the reference
-    has it, so that part of an overlap is the size of a set
-    intersection, and only the repeats are counted gram by gram.
+    Per-document and whole-cluster n-gram counters are built once.  Per
+    sentence the scorer keeps its [start, end) span of the cluster's
+    tokens and, once scored, its two floats -- never its n-grams.  A
+    sentence's n-gram profile is built from its span when it is scored:
+    for unigrams and for bigrams, the set of grams the sentence has once
+    and a dict of those it repeats.  A once-gram's clipped overlap with
+    a reference is 1 exactly when the reference has it, so that part of
+    an overlap is the size of a set intersection, and only the repeats
+    are counted gram by gram.
 
     The leave-one-out context for ``principle`` is derived from the
     totals by subtracting the sentence's own n-grams and patching the
-    bigrams that straddle its edges.  ``cluster`` scores are memoized
-    because the selection loop revisits sentences across entities; each
-    ``principle`` score is asked for once.  Only sentences of the
-    cluster the scorer was built from can be scored.
+    bigrams that straddle its edges.  ``cluster`` computes both scores
+    from one profile and memoizes both, because the selection loop
+    revisits sentences across entities and the fallback then asks for
+    the principle score of the candidates it did not pick; a sentence
+    ``cluster`` never saw gets its principle score from a profile of its
+    own.  Only sentences of the cluster the scorer was built from can be
+    scored.
     """
 
     def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
@@ -247,19 +253,13 @@ class ClusterScorer:
         self._ids = ids
         self._bigram_ids = bigram_ids
 
-        # Each sentence's [start, end) in ``flat``, its profile, and each
-        # document's span.
+        # Each sentence's [start, end) in ``flat``, and each document's.
         self._spans: dict[tuple[int, int], tuple[int, int]] = {}
-        self._profiles = {}
         doc_spans: dict[int, list[int]] = {}
         start = 0
         for s in ordered:
             end = start + len(s.tokens)
             self._spans[s.key] = (start, end)
-            self._profiles[s.key] = (
-                *_once_and_repeated(ids[start:end]),
-                *_once_and_repeated(bigram_ids[start : max(start, end - 1)]),
-            )
             doc_spans.setdefault(s.doc_index, [start, end])[1] = end
             start = end
         # (doc_index, unigrams, their key set, bigrams, their key set,
@@ -279,6 +279,7 @@ class ClusterScorer:
         self._shared_uni = _repeated_keys(self._total_uni)
         self._shared_bi = _repeated_keys(self._total_bi)
         self._cluster_cache: dict[tuple[int, int], float] = {}
+        self._principle_cache: dict[tuple[int, int], float] = {}
 
     def _combine(self, r1: float, r2: float) -> float:
         if self.variant is SalienceVariant.R1_F1:
@@ -287,10 +288,16 @@ class ClusterScorer:
             return r2
         return (r1 + r2) / 2.0
 
-    def principle(self, sentence: Sentence) -> float:
-        key = sentence.key
-        once_uni, repeated_uni, once_bi, repeated_bi = self._profiles[key]
-        start, end = self._spans[key]
+    def _profile(self, start: int, end: int) -> tuple:
+        """The n-gram profile of the tokens in [start, end): the once-set
+        and repeat dict of their unigrams, then of their bigrams."""
+        return (
+            *_once_and_repeated(self._ids[start:end]),
+            *_once_and_repeated(self._bigram_ids[start : max(start, end - 1)]),
+        )
+
+    def _principle(self, start: int, end: int, profile: tuple) -> float:
+        once_uni, repeated_uni, once_bi, repeated_bi = profile
         n = end - start
         ctx_len = self._total_len - n
 
@@ -334,14 +341,24 @@ class ClusterScorer:
             _overlap_f1(ov1, n, ctx_len), _overlap_f1(ov2, max(0, n - 1), max(0, ctx_len - 1))
         )
 
+    def principle(self, sentence: Sentence) -> float:
+        key = sentence.key
+        cached = self._principle_cache.get(key)
+        if cached is not None:
+            return cached
+        start, end = self._spans[key]
+        return self._principle(start, end, self._profile(start, end))
+
     def cluster(self, sentence: Sentence) -> float:
         key = sentence.key
         cached = self._cluster_cache.get(key)
         if cached is not None:
             return cached
-        n = len(sentence.tokens)
+        start, end = self._spans[key]
+        n = end - start
         n_bi = max(0, n - 1)
-        once_uni, repeated_uni, once_bi, repeated_bi = self._profiles[key]
+        profile = self._profile(start, end)
+        once_uni, repeated_uni, once_bi, repeated_bi = profile
         total = 0.0
         for doc_index, uni, uni_keys, bi, bi_keys, doc_len, doc_bi_len in self._docs:
             if doc_index == sentence.doc_index:
@@ -354,4 +371,5 @@ class ClusterScorer:
                 ov2 += _clipped(repeated_bi, bi)
             total += self._combine(_overlap_f1(ov1, n, doc_len), _overlap_f1(ov2, n_bi, doc_bi_len))
         self._cluster_cache[key] = total
+        self._principle_cache[key] = self._principle(start, end, profile)
         return total

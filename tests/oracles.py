@@ -137,6 +137,19 @@ TESTED_FIRSTS_ORACLE = re.compile(
 )
 
 
+# The year and quantity patterns as first written, each opening with a
+# lookbehind or a group.
+YEAR_RE_ORACLE = re.compile(r"(?<!\d)[12]\d{3}(?!\d)")
+QUANTITY_RE_ORACLE = re.compile(
+    r"(?:\d{1,3}(?:,\d{3})+|\d+(?:\.\d+)?)\s*(?:"
+    r"acres?|hectares?|miles?|kilometers?|km|meters?|feet|ft|"
+    r"percent|kg|tons?|tonnes?|pounds?|lbs|"
+    r"people|residents|homes?|houses?|buildings?|structures?|firefighters?|"
+    r"dollars?|euros?|billion|million|thousand)\b",
+    re.IGNORECASE,
+)
+
+
 def word_runs_oracle(text):
     """(token position, words) of each maximal run of capitalized
     words, checking every whitespace token in turn."""

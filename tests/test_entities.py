@@ -18,7 +18,9 @@ from pyramid_masker import (
 )
 from pyramid_masker.entities import (
     EntityMention,
+    _QUANTITY_RE,
     _TESTED_FIRSTS,
+    _YEAR_RE,
     _word_runs,
     contains_mention,
     extract_entities_provided,
@@ -30,7 +32,9 @@ from pyramid_masker.segment import split_sentences
 from oracles import (
     ORACLE_LEADING_PUNCT,
     ORACLE_TRAILING_PUNCT,
+    QUANTITY_RE_ORACLE,
     TESTED_FIRSTS_ORACLE,
+    YEAR_RE_ORACLE,
     word_runs_oracle,
 )
 
@@ -79,6 +83,29 @@ def test_years_and_quantities():
 
 def test_room_numbers_are_not_years():
     assert "12345" not in normals("See case 12345 for details.")
+
+
+# Digits ASCII and not, other numeric characters, separators, line
+# breaks and unit words in mixed case, glued together at random.
+NUMERIC_TEXT = st.lists(
+    st.sampled_from(
+        ["0", "1", "2", "9", "12", "2019", "1,600", "3.5", "²", "٣", "½", ",", ".",
+         " ", "\n", "\t", "a", "Acres", "km", "MILLION", "homes", "ft", "kmx", "percent"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+def _found(pattern, text):
+    return [(m.span(), m.group(), m.groups()) for m in pattern.finditer(text)]
+
+
+@given(NUMERIC_TEXT)
+@example("x1988 21988 1988x 1988")
+@example("12,345,67 people 1,2345 homes 3.5.6 km ٣1000 acres")
+def test_year_and_quantity_patterns_match_their_first_form(text):
+    assert _found(_YEAR_RE, text) == _found(YEAR_RE_ORACLE, text)
+    assert _found(_QUANTITY_RE, text) == _found(QUANTITY_RE_ORACLE, text)
 
 
 def test_provided_annotations_are_located():

@@ -15,7 +15,15 @@ import random
 
 import pytest
 
-from pyramid_masker import EntitySource, PipelineConfig, SelectionConfig, Strategy, run_mask
+from pyramid_masker import (
+    EntitySource,
+    PipelineConfig,
+    SalienceVariant,
+    SelectionConfig,
+    Strategy,
+    run_mask,
+)
+from pyramid_masker.cli import main
 
 from synth import WILDFIRE_CLUSTER, long_cluster, punctuated_cluster, synthetic_cluster
 
@@ -31,6 +39,16 @@ GOLDEN_SHA256 = {
 PUNCTUATED_SHA256 = {
     EntitySource.RULES: "533a2500f9a0ccaafaa5842f4d29f958893bac665c3fde9ff86c129da59e3221",
     EntitySource.PROVIDED: "8bf8eb266bf713159ff39094713877c33e9eebebf96aad1713357cd3531c5799",
+}
+
+
+# `score-sentence` stdout for every cluster of the golden corpus, by
+# variant.  It asks for each sentence's principle score before its
+# cluster score, an order `mask` never uses.
+SCORE_SENTENCE_SHA256 = {
+    SalienceVariant.R1_F1: "0e1424407ee772b5b3fe3697cd5108fb595e15bd1e765e8866575c021d4fc45d",
+    SalienceVariant.R2_F1: "ea91fdcb18bc8eb680d4e2b9cd9c040317a254b29acfbe413e6228a26fe4a0bc",
+    SalienceVariant.MEAN_R1_R2_F1: "80f7152cdc271a40cd75bbd71560b1f7e8fd50b224025e1882b43855090c13c8",
 }
 
 
@@ -79,3 +97,18 @@ def test_punctuated_entity_pyramid_digest(source):
     assert report.processed == 40 and report.skipped == 0
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
     assert digest == PUNCTUATED_SHA256[source]
+
+
+@pytest.mark.parametrize("variant", list(SCORE_SENTENCE_SHA256), ids=lambda v: v.value)
+def test_score_sentence_output_digest(variant, tmp_path, capsys):
+    corpus = _corpus()
+    path = tmp_path / "golden.jsonl"
+    path.write_bytes(corpus)
+    digest = hashlib.sha256()
+    for line in corpus.splitlines():
+        cluster_id = json.loads(line)["cluster_id"]
+        argv = ["score-sentence", "--input", str(path), "--cluster-id", cluster_id,
+                "--salience-variant", variant.value]
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == SCORE_SENTENCE_SHA256[variant]

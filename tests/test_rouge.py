@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -248,14 +250,48 @@ def test_scorer_matches_oracles_on_repeated_ngrams(docs, variant):
         for d, doc in enumerate(docs)
         for j, tokens in enumerate(doc)
     ]
-    scorer = ClusterScorer(sentences, variant)
+    expected = {}
     for s in sentences:
-        assert scorer.principle(s) == pytest.approx(
+        context = [o for o in sentences if o is not s]
+        principle = principle_score(s, context, variant)
+        cluster = cluster_rouge(s, sentences, variant)
+        assert principle == pytest.approx(
             principle_oracle(s, sentences, variant.value), abs=1e-12
         )
-        assert scorer.cluster(s) == pytest.approx(
+        assert cluster == pytest.approx(
             cluster_rouge_oracle(s, sentences, variant.value), abs=1e-12
         )
-        context = [o for o in sentences if o is not s]
-        assert scorer.principle(s) == principle_score(s, context, variant)
-        assert scorer.cluster(s) == cluster_rouge(s, sentences, variant)
+        expected[s.key] = {"principle": principle, "cluster": cluster}
+    # ``cluster`` caches both scores and ``principle`` reads that cache,
+    # so the call order decides which path each score takes.  A fresh
+    # scorer per order, and every sentence through every call.
+    for order in (("cluster", "principle"), ("principle", "cluster"), ("principle", "principle")):
+        scorer = ClusterScorer(sentences, variant)
+        for s in sentences:
+            for method in order:
+                assert getattr(scorer, method)(s) == expected[s.key][method]
+
+
+def test_scorer_keeps_no_ngrams_per_sentence():
+    """Per sentence the scorer holds a span and, once scored, two floats:
+    about 1200 bytes per sentence of this cluster, all told.  Keeping
+    every sentence's n-gram profile as well takes about 2500."""
+    sentences = segment_cluster(
+        synthetic_cluster(random.Random(14), "mem", num_docs=6, total_sentences=240)
+    )
+    assert len(sentences) == 240 and len({s.doc_index for s in sentences}) == 6
+    bound = 1800 * len(sentences)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer = ClusterScorer(sentences)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < bound
+        for s in sentences:
+            scorer.cluster(s)
+            scorer.principle(s)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < bound
+    finally:
+        tracemalloc.stop()
