@@ -231,17 +231,21 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
         wanted = args.cluster_id if args.cluster_id is not None else "<first cluster>"
         return _fatal(f"cluster {wanted!r} not found in {args.input}")
     sentences = segment_cluster(target, abbreviations=config.abbreviations)
-    scorer = ClusterScorer(sentences, variant)
-    rows = [
-        {
-            "doc": s.doc_index,
-            "sent": s.sent_index,
-            "text": s.text,
-            "principle": scorer.principle(s),
-            "cluster_rouge": scorer.cluster(s),
-        }
-        for s in sorted(sentences, key=by_position)
-    ]
+    scorer = ClusterScorer(sentences, variant, config.normalization)
+    rows = []
+    for s in sorted(sentences, key=by_position):
+        # ``cluster`` first: it keeps the principle score of the same
+        # n-gram profile, so each sentence's profile is built once.
+        cluster_rouge = scorer.cluster(s)
+        rows.append(
+            {
+                "doc": s.doc_index,
+                "sent": s.sent_index,
+                "text": s.text,
+                "principle": scorer.principle(s),
+                "cluster_rouge": cluster_rouge,
+            }
+        )
     print(
         json.dumps(
             {"cluster_id": target.cluster_id, "salience_variant": variant.value, "sentences": rows},

@@ -42,11 +42,6 @@ class PyramidEntry:
     locations: tuple[tuple[int, int], ...]
 
 
-# A mention's normalized form is its folded surface, the same form as
-# the ``Sentence.folded`` text it is matched in.
-normalize_surface = fold_text
-
-
 def _is_word_char(ch: str) -> bool:
     """Whether ``ch`` is a word character, as ``\\w`` matches in a str
     pattern."""
@@ -70,9 +65,11 @@ def contains_mention(text: str, entity: str) -> bool:
 
 
 def _mention(surface: str, doc_index: int, sent_index: int) -> EntityMention:
+    # The normalized form is the folded surface, the same form as the
+    # ``Sentence.folded`` text it is matched in.
     return EntityMention(
         surface=surface,
-        normalized=normalize_surface(surface),
+        normalized=fold_text(surface),
         doc_index=doc_index,
         sent_index=sent_index,
     )
@@ -209,7 +206,7 @@ def extract_entities_provided(
         by_doc.setdefault(sentence.doc_index, []).append(sentence)
     mentions: list[EntityMention] = []
     for ann in annotations:
-        needle = normalize_surface(ann.surface)
+        needle = fold_text(ann.surface)
         hit = None
         for sentence in by_doc.get(ann.doc_index, ()):
             if needle in sentence.folded:

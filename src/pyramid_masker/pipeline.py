@@ -64,10 +64,8 @@ def process_cluster(
     example (nothing fits the budget, or every masked sentence was
     truncated away).  Diagnostic events about the cluster, such as
     ``entity_dropped``, are appended to ``events`` when it is given.
-    Sentences are normalized only for a strategy that scores them.
     """
-    normalization = config.normalization if config.selection.strategy.scores else None
-    sentences = segment_cluster(cluster, normalization, config.abbreviations)
+    sentences = segment_cluster(cluster, config.abbreviations)
     if not sentences:
         raise MaskingError("cluster has no sentences")
     pyramid = None
@@ -77,7 +75,7 @@ def process_cluster(
         )
         pyramid = build_pyramid(mentions, len(cluster.documents))
     selection = select_sentences(
-        sentences, config.selection, cluster.cluster_id, pyramid
+        sentences, config.selection, cluster.cluster_id, pyramid, config.normalization
     )
     surviving = truncate_per_document(
         sentences, config.mask.input_token_limit, len(cluster.documents)

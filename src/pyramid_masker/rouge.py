@@ -1,7 +1,10 @@
 """Self-contained ROUGE-1/2/L plus the two cluster-level salience scores.
 
-Everything operates on pre-normalized token sequences (see
-``segment.normalize_tokens``); nothing here tokenizes or stems.
+``rouge_n``, ``rouge_l`` and ``salience`` compare token sequences as
+given.  The salience scores take sentences and count the n-grams of
+their text normalized under a ``NormalizationConfig`` (see
+``segment.normalize_tokens``): this module is the one place a sentence
+is normalized.
 
 Two salience scores rank sentences within a cluster:
 
@@ -13,16 +16,17 @@ Two salience scores rank sentences within a cluster:
 
 The module-level functions are the readable reference implementations;
 ``ClusterScorer`` computes identical values and is what the pipeline
-uses.  It numbers the cluster's tokens and bigrams with integer ids and
-counts the n-grams of each document and of the whole cluster once.  Per
-sentence it keeps only the sentence's span of the cluster and, once
-scored, its two floats.  A sentence's n-gram profile -- for unigrams and
-for bigrams, the set of grams the sentence holds once and a dict of
-those it repeats -- is built from its span when it is scored and then
-let go.  The once-grams' overlap with a reference is the size of a set
-intersection, and only the repeats are counted in Python.  Its integer
-overlaps are the reference's, and its float operations run in the same
-order, so its scores equal the reference's exactly.
+uses.  It normalizes each sentence once, numbers the cluster's tokens
+and bigrams with integer ids and counts the n-grams of each document and
+of the whole cluster once.  Per sentence it keeps only the sentence's
+span of the cluster and, once scored, its two floats.  A sentence's
+n-gram profile -- for unigrams and for bigrams, the set of grams the
+sentence holds once and a dict of those it repeats -- is built from its
+span when it is scored and then let go.  The once-grams' overlap with
+a reference is the size of a set intersection, and only the repeats are
+counted in Python.  Its integer overlaps are the reference's, and its
+float operations run in the same order, so its scores equal the
+reference's exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from itertools import compress, count
 from operator import add
 from typing import Sequence
 
-from .segment import Sentence, by_position
+from .segment import (
+    DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position, normalize_tokens
+)
 
 # ROUGE-L cost is quadratic, so very long sides are truncated.  4096-token
 # inputs never hit this in practice; it is a guard against degenerate data.
@@ -177,6 +183,7 @@ def principle_score(
     sentence: Sentence,
     context: Sequence[Sentence],
     variant: SalienceVariant = DEFAULT_VARIANT,
+    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
 ) -> float:
     """Score one sentence against the rest of its cluster.
 
@@ -189,24 +196,26 @@ def principle_score(
         raise ValueError("context must exclude the scored sentence")
     joined: list[str] = []
     for other in sorted(context, key=by_position):
-        joined.extend(other.tokens)
-    return salience(sentence.tokens, joined, variant)
+        joined.extend(normalize_tokens(other.text, normalization))
+    return salience(normalize_tokens(sentence.text, normalization), joined, variant)
 
 
 def cluster_rouge(
     sentence: Sentence,
     sentences: Sequence[Sentence],
     variant: SalienceVariant = DEFAULT_VARIANT,
+    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
 ) -> float:
     """Sum of per-document salience against every foreign document."""
     docs: dict[int, list[str]] = {}
     for other in sorted(sentences, key=by_position):
-        docs.setdefault(other.doc_index, []).extend(other.tokens)
+        docs.setdefault(other.doc_index, []).extend(normalize_tokens(other.text, normalization))
+    tokens = normalize_tokens(sentence.text, normalization)
     total = 0.0
     for doc_index in sorted(docs):
         if doc_index == sentence.doc_index:
             continue
-        total += salience(sentence.tokens, docs[doc_index], variant)
+        total += salience(tokens, docs[doc_index], variant)
     return total
 
 
@@ -214,10 +223,12 @@ class ClusterScorer:
     """Counter-based scorer giving the same numbers as the module
     functions without re-walking the cluster for every sentence.
 
-    Per-document and whole-cluster n-gram counters are built once.  Per
-    sentence the scorer keeps its [start, end) span of the cluster's
-    tokens and, once scored, its two floats -- never its n-grams.  A
-    sentence's n-gram profile is built from its span when it is scored:
+    Each sentence's text is normalized under ``normalization`` once,
+    as the scorer numbers the cluster's tokens, and per-document and
+    whole-cluster n-gram counters are built once.  Per sentence the
+    scorer keeps its [start, end) span of the cluster's tokens and,
+    once scored, its two floats -- never its n-grams.  A sentence's
+    n-gram profile is built from its span when it is scored:
     for unigrams and for bigrams, the set of grams the sentence has once
     and a dict of those it repeats.  A once-gram's clipped overlap with
     a reference is 1 exactly when the reference has it, so that part of
@@ -235,12 +246,24 @@ class ClusterScorer:
     scored.
     """
 
-    def __init__(self, sentences: Sequence[Sentence], variant: SalienceVariant = DEFAULT_VARIANT):
+    def __init__(
+        self,
+        sentences: Sequence[Sentence],
+        variant: SalienceVariant = DEFAULT_VARIANT,
+        normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
+    ):
         self.variant = variant
-        ordered = sorted(sentences, key=by_position)
+        # The cluster's normalized tokens, with each sentence's
+        # [start, end) in them and each document's.
         flat: list[str] = []
-        for s in ordered:
-            flat.extend(s.tokens)
+        self._spans: dict[tuple[int, int], tuple[int, int]] = {}
+        doc_spans: dict[int, list[int]] = {}
+        for s in sorted(sentences, key=by_position):
+            start = len(flat)
+            flat.extend(normalize_tokens(s.text, normalization))
+            end = len(flat)
+            self._spans[s.key] = (start, end)
+            doc_spans.setdefault(s.doc_index, [start, end])[1] = end
         # Every token of the cluster gets an integer id, and the bigram
         # (a, b) the id a * V + b, so the bigrams are counted, hashed and
         # intersected as ints, and the bigrams of a stretch of the
@@ -252,16 +275,6 @@ class ClusterScorer:
         self._vocabulary = vocabulary
         self._ids = ids
         self._bigram_ids = bigram_ids
-
-        # Each sentence's [start, end) in ``flat``, and each document's.
-        self._spans: dict[tuple[int, int], tuple[int, int]] = {}
-        doc_spans: dict[int, list[int]] = {}
-        start = 0
-        for s in ordered:
-            end = start + len(s.tokens)
-            self._spans[s.key] = (start, end)
-            doc_spans.setdefault(s.doc_index, [start, end])[1] = end
-            start = end
         # (doc_index, unigrams, their key set, bigrams, their key set,
         # unigram total, bigram total), in document order.
         self._docs = []

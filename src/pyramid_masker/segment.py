@@ -6,10 +6,11 @@ to a known abbreviation or a decimal number.  The abbreviation list ships
 as a package resource so segmentation is reproducible; see
 ``load_abbreviations`` to override it.
 
-Normalization feeds the ROUGE scorer: lowercase, punctuation replaced by
-spaces, whitespace split, Porter stemming.  Each stage is independently
-switchable via ``NormalizationConfig``.  A run that does not score passes
-``None`` instead of a config and gets sentences without tokens.
+Normalization is what the ROUGE scorer counts n-grams of: lowercase,
+punctuation replaced by spaces, whitespace split, Porter stemming.  Each
+stage is independently switchable via ``NormalizationConfig``.  The
+scorer normalizes the text of the sentences it scores; segmentation only
+splits.
 """
 
 from __future__ import annotations
@@ -43,23 +44,19 @@ DEFAULT_NORMALIZATION = NormalizationConfig()
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence of one document, with its words and normalized tokens.
+    """One sentence of one document, with its words.
 
     ``key``, ``(doc_index, sent_index)``, identifies the sentence within
     a cluster.  ``words``, the whitespace tokens of ``text``, are what
     name runs, truncation and assembly read.  Both are stored at
-    construction, so ``text`` is split once.  ``tokens`` is derived
-    from ``text`` under the active normalization config and is what the
-    ROUGE scorer consumes.  It is empty when the sentence was segmented
-    without a config, as for a strategy that does not score.  ``folded``
-    is the text entity mentions are matched in, built on first use.
+    construction, so ``text`` is split once.  ``folded`` is the text
+    entity mentions are matched in, built on first use.
     """
 
     cluster_id: str
     doc_index: int
     sent_index: int
     text: str
-    tokens: tuple[str, ...] = field(default=())
     key: tuple[int, int] = field(init=False, repr=False, compare=False)
     words: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -172,11 +169,9 @@ def split_sentences(
     document: str,
     doc_index: int,
     cluster_id: str = "",
-    config: NormalizationConfig | None = DEFAULT_NORMALIZATION,
     abbreviations: frozenset[str] | None = None,
 ) -> list[Sentence]:
-    """Split one document into sentences with normalized tokens, or
-    with empty ``tokens`` when ``config`` is None.
+    """Split one document into sentences.
 
     Joining the sentence texts with single spaces and collapsing
     whitespace reproduces the whitespace-collapsed document.  A document
@@ -198,29 +193,13 @@ def split_sentences(
         text = span.strip()
         if not text:
             continue
-        sentences.append(
-            Sentence(
-                cluster_id=cluster_id,
-                doc_index=doc_index,
-                sent_index=len(sentences),
-                text=text,
-                tokens=() if config is None else tuple(normalize_tokens(text, config)),
-            )
-        )
+        sentences.append(Sentence(cluster_id, doc_index, len(sentences), text))
     return sentences
 
 
-def segment_cluster(
-    cluster,
-    config: NormalizationConfig | None = DEFAULT_NORMALIZATION,
-    abbreviations: frozenset[str] | None = None,
-) -> list[Sentence]:
-    """Segment every document of a cluster, in document order.  With
-    ``config`` None, no sentence is normalized and every ``tokens`` is
-    empty: only the ROUGE scorer reads them."""
+def segment_cluster(cluster, abbreviations: frozenset[str] | None = None) -> list[Sentence]:
+    """Segment every document of a cluster, in document order."""
     sentences: list[Sentence] = []
     for doc_index, document in enumerate(cluster.documents):
-        sentences.extend(
-            split_sentences(document, doc_index, cluster.cluster_id, config, abbreviations)
-        )
+        sentences.extend(split_sentences(document, doc_index, cluster.cluster_id, abbreviations))
     return sentences

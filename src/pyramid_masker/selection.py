@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .entities import PyramidEntry, contains_mention
 from .rouge import ClusterScorer, DEFAULT_VARIANT, SalienceVariant
-from .segment import Sentence, by_position
+from .segment import DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position
 
 
 class Strategy(Enum):
@@ -36,12 +36,6 @@ class Strategy(Enum):
     PRINCIPLE = "principle"
     LEAD = "lead"
     RANDOM = "random"
-
-    @property
-    def scores(self) -> bool:
-        """Whether the strategy ranks sentences by ROUGE, and so needs
-        their normalized tokens and a ``ClusterScorer``."""
-        return self is Strategy.ENTITY_PYRAMID or self is Strategy.PRINCIPLE
 
 
 @dataclass(frozen=True)
@@ -231,17 +225,19 @@ def select_sentences(
     config: SelectionConfig,
     cluster_id: str = "",
     pyramid: Sequence[PyramidEntry] | None = None,
+    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
 ) -> SelectionResult:
     """Dispatch to the configured strategy with counts derived from the
-    cluster size.  ``pyramid`` is required for the entity strategy."""
+    cluster size.  ``pyramid`` is required for the entity strategy;
+    ``normalization`` is how the scoring strategies count n-grams."""
     total = len(sentences)
     mask_count = compute_mask_count(total, config.mask_ratio)
     copy_count = compute_copy_count(total, mask_count, config.copy_ratio)
-    if not config.strategy.scores:
-        if config.strategy is Strategy.LEAD:
-            return select_lead(sentences, mask_count, copy_count)
+    if config.strategy is Strategy.LEAD:
+        return select_lead(sentences, mask_count, copy_count)
+    if config.strategy is Strategy.RANDOM:
         return select_random(sentences, mask_count, copy_count, config.seed, cluster_id)
-    scorer = ClusterScorer(sentences, config.variant)
+    scorer = ClusterScorer(sentences, config.variant, normalization)
     if config.strategy is Strategy.PRINCIPLE:
         return select_principle(sentences, mask_count, copy_count, scorer)
     if pyramid is None:

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import re
 
+# The salience oracles score the package's own normalized tokens: they
+# check the n-gram counting, and normalization is tested on its own.
+from pyramid_masker.segment import normalize_tokens
+
 
 def ngram_counts(tokens, n):
     counts = {}
@@ -88,19 +92,19 @@ def principle_oracle(sentence, all_sentences, variant="mean_r1_r2_f1"):
     for other in sorted(all_sentences, key=_key):
         if other is sentence:
             continue
-        context.extend(other.tokens)
-    return variant_oracle(list(sentence.tokens), context, variant)
+        context.extend(normalize_tokens(other.text))
+    return variant_oracle(normalize_tokens(sentence.text), context, variant)
 
 
 def cluster_rouge_oracle(sentence, all_sentences, variant="mean_r1_r2_f1"):
     per_doc = {}
     for other in sorted(all_sentences, key=_key):
-        per_doc.setdefault(other.doc_index, []).extend(other.tokens)
+        per_doc.setdefault(other.doc_index, []).extend(normalize_tokens(other.text))
     total = 0.0
     for doc_index in sorted(per_doc):
         if doc_index == sentence.doc_index:
             continue
-        total += variant_oracle(list(sentence.tokens), per_doc[doc_index], variant)
+        total += variant_oracle(normalize_tokens(sentence.text), per_doc[doc_index], variant)
     return total
 
 

@@ -508,6 +508,21 @@ def test_score_sentence_default_variant_is_the_selection_default(
     assert [row["cluster_rouge"] for row in rows] == [scorer.cluster(s) for s in sentences]
 
 
+def test_score_sentence_builds_one_profile_per_sentence(corpus_path, capsys, monkeypatch):
+    profiles = []
+    build = ClusterScorer._profile
+
+    def counted(self, start, end):
+        profiles.append((start, end))
+        return build(self, start, end)
+
+    monkeypatch.setattr(ClusterScorer, "_profile", counted)
+    assert main(["score-sentence", "--input", str(corpus_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["sentences"]
+    assert len(rows) == len(segment_cluster(WILDFIRE_CLUSTER))
+    assert len(profiles) == len(set(profiles)) == len(rows)
+
+
 def test_score_sentence_empty_abbreviations_is_fatal(corpus_path, capsys):
     code = main(["score-sentence", "--input", str(corpus_path), "--abbreviations", ""])
     captured = capsys.readouterr()

@@ -25,9 +25,8 @@ from pyramid_masker.entities import (
     contains_mention,
     extract_entities_provided,
     extract_entities_rules,
-    normalize_surface,
 )
-from pyramid_masker.segment import split_sentences
+from pyramid_masker.segment import fold_text, split_sentences
 
 from oracles import (
     ORACLE_LEADING_PUNCT,
@@ -239,9 +238,9 @@ def test_pyramid_frequencies_match_brute_force(seed):
     assert by_freq == sorted(by_freq, reverse=True)
 
 
-def test_normalize_surface():
-    assert normalize_surface("  Grand   Junction ") == "grand junction"
-    assert normalize_surface("COLORADO") == "colorado"
+def test_fold_text():
+    assert fold_text("  Grand   Junction ") == "grand junction"
+    assert fold_text("COLORADO") == "colorado"
 
 
 # ---------------------------------------------------------------------------

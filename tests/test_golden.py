@@ -17,9 +17,11 @@ import pytest
 
 from pyramid_masker import (
     EntitySource,
+    NormalizationConfig,
     PipelineConfig,
     SalienceVariant,
     SelectionConfig,
+    Stemming,
     Strategy,
     run_mask,
 )
@@ -42,9 +44,19 @@ PUNCTUATED_SHA256 = {
 }
 
 
+# `mask` stdout on the golden corpus with every normalization stage
+# off, by scoring strategy.  Turning off stemming alone gives the default
+# digests above on this corpus, so it could not show whether the
+# normalization config reaches the scorer.
+RAW_NORMALIZATION_SHA256 = {
+    Strategy.ENTITY_PYRAMID: "c1a1c22aabea92d97e2fed4e53a39396877ca44d9756a3a9a4ab24bc510a4186",
+    Strategy.PRINCIPLE: "5503ae20f1f7b6391353a5fd2040bfd9f86ba8aacd4a86b8cd7db23caac8cf98",
+}
+
+
 # `score-sentence` stdout for every cluster of the golden corpus, by
-# variant.  It asks for each sentence's principle score before its
-# cluster score, an order `mask` never uses.
+# variant.  It asks for each sentence's cluster score, then for the
+# principle score that ``cluster`` kept.
 SCORE_SENTENCE_SHA256 = {
     SalienceVariant.R1_F1: "0e1424407ee772b5b3fe3697cd5108fb595e15bd1e765e8866575c021d4fc45d",
     SalienceVariant.R2_F1: "ea91fdcb18bc8eb680d4e2b9cd9c040317a254b29acfbe413e6228a26fe4a0bc",
@@ -87,6 +99,21 @@ def test_mask_output_digest(strategy):
     assert report.processed == 47 and report.skipped == 0
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256[strategy]
+
+
+@pytest.mark.parametrize("strategy", list(RAW_NORMALIZATION_SHA256), ids=lambda s: s.value)
+def test_raw_normalization_digest(strategy):
+    sink = io.StringIO()
+    config = PipelineConfig(
+        normalization=NormalizationConfig(
+            lowercase=False, strip_punctuation=False, stemming=Stemming.NONE
+        ),
+        selection=SelectionConfig(strategy=strategy, seed=7),
+    )
+    report = run_mask(io.BytesIO(_corpus()), sink, config, diagnostics=io.StringIO())
+    assert report.processed == 47 and report.skipped == 0
+    digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+    assert digest == RAW_NORMALIZATION_SHA256[strategy]
 
 
 @pytest.mark.parametrize("source", list(PUNCTUATED_SHA256), ids=lambda s: s.value)

@@ -30,7 +30,7 @@ from synth import WILDFIRE_CLUSTER, long_cluster, synthetic_cluster
 
 
 def sent(doc: int, idx: int, text: str) -> Sentence:
-    return Sentence("c", doc, idx, text, tuple(text.lower().split()))
+    return Sentence("c", doc, idx, text)
 
 
 def selection(masked, copied=(), scores=None) -> SelectionResult:

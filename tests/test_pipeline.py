@@ -24,7 +24,8 @@ from pyramid_masker import (
     run_mask,
     segment_cluster,
 )
-from pyramid_masker import pipeline, segment
+from pyramid_masker import pipeline, rouge, segment
+from pyramid_masker.ingest import load_clusters
 from pyramid_masker.pipeline import CHUNK_SIZE, example_to_record
 
 from synth import WILDFIRE_CLUSTER, synthetic_cluster
@@ -323,7 +324,7 @@ def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("normalize_tokens called or Sentence.folded read")
 
-    monkeypatch.setattr(segment, "normalize_tokens", refuse)
+    monkeypatch.setattr(rouge, "normalize_tokens", refuse)
     monkeypatch.setattr(segment.Sentence, "folded", property(refuse))
     config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
     report, _, _ = drive(make_corpus(4, seed=5), config)
@@ -332,15 +333,18 @@ def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
 
 @pytest.mark.parametrize("strategy", [Strategy.PRINCIPLE, Strategy.ENTITY_PYRAMID])
 def test_scoring_strategies_normalize(strategy, monkeypatch):
+    """The scorer normalizes each sentence of each cluster once."""
     calls = []
-    normalize = segment.normalize_tokens
+    normalize = rouge.normalize_tokens
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return normalize(*args, **kwargs)
 
-    monkeypatch.setattr(segment, "normalize_tokens", counted)
+    monkeypatch.setattr(rouge, "normalize_tokens", counted)
     config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
-    report, _, _ = drive(make_corpus(4, seed=5), config)
+    corpus = make_corpus(4, seed=5)
+    report, _, _ = drive(corpus, config)
     assert report.processed == 4
-    assert calls
+    clusters = load_clusters(io.BytesIO(corpus))
+    assert calls == [s.text for cluster in clusters for s in segment_cluster(cluster)]

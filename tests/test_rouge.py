@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -21,7 +22,7 @@ from pyramid_masker import (
     segment_cluster,
 )
 from pyramid_masker.rouge import LCS_TOKEN_CAP
-from pyramid_masker.segment import Sentence
+from pyramid_masker.segment import NormalizationConfig, Sentence, Stemming
 
 from oracles import (
     cluster_rouge_oracle,
@@ -122,7 +123,7 @@ def test_adding_matching_token_never_decreases_recall(cand, ref):
 
 
 def sentence(doc: int, sent: int, words: str) -> Sentence:
-    return Sentence("c", doc, sent, words, tuple(words.split()))
+    return Sentence("c", doc, sent, words)
 
 
 def test_principle_rejects_included_sentence():
@@ -161,7 +162,7 @@ def test_cluster_rouge_invariant_to_document_relabeling():
     baseline = cluster_rouge(target, sentences)
     perm = [3, 0, 2, 1]
     relabeled = [
-        Sentence(s.cluster_id, perm[s.doc_index], s.sent_index, s.text, s.tokens)
+        Sentence(s.cluster_id, perm[s.doc_index], s.sent_index, s.text)
         for s in sentences
     ]
     moved = next(
@@ -182,22 +183,31 @@ SCORER_EDGE_CLUSTERS = [
 ]
 
 
+# The default normalization, every stage off, and stemming alone off.
+NORMALIZATIONS = [
+    NormalizationConfig(),
+    NormalizationConfig(lowercase=False, strip_punctuation=False, stemming=Stemming.NONE),
+    NormalizationConfig(stemming=Stemming.NONE),
+]
+
+
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SalienceVariant)))
 def test_scorer_matches_naive_functions(seed, variant):
+    """Every normalization in ``NORMALIZATIONS`` runs on every example."""
     rng = random.Random(seed)
     clusters = [synthetic_cluster(rng, f"eq{seed}", total_sentences=rng.randint(5, 14))]
     clusters += SCORER_EDGE_CLUSTERS
-    for cluster in clusters:
+    for cluster, norm in itertools.product(clusters, NORMALIZATIONS):
         sentences = segment_cluster(cluster)
         # A fresh scorer per order: whichever method runs first fills the
         # shared per-sentence cache the other then reads.
         for cluster_first in (True, False):
-            scorer = ClusterScorer(sentences, variant)
+            scorer = ClusterScorer(sentences, variant, norm)
             for s in sentences if cluster_first else reversed(sentences):
                 context = [o for o in sentences if o is not s]
-                expected_principle = principle_score(s, context, variant)
-                expected_cluster = cluster_rouge(s, sentences, variant)
+                expected_principle = principle_score(s, context, variant, norm)
+                expected_cluster = cluster_rouge(s, sentences, variant, norm)
                 if cluster_first:
                     assert scorer.cluster(s) == expected_cluster
                     assert scorer.principle(s) == expected_principle
@@ -246,7 +256,7 @@ REPEAT_HEAVY_CLUSTERS = st.lists(
 @example([[["go", "go"], [], ["go", "go"]], [["go", "go", "go"]]], SalienceVariant.R2_F1)
 def test_scorer_matches_oracles_on_repeated_ngrams(docs, variant):
     sentences = [
-        Sentence("rep", d, j, " ".join(tokens) or "...", tuple(tokens))
+        Sentence("rep", d, j, " ".join(tokens) or "...")
         for d, doc in enumerate(docs)
         for j, tokens in enumerate(doc)
     ]

@@ -82,11 +82,6 @@ def test_indices_consecutive_and_doc_index_carried():
     assert {s.doc_index for s in sentences} == {4}
 
 
-def test_tokens_populated_with_defaults():
-    (sentence,) = split_sentences("Running dogs!", 0)
-    assert list(sentence.tokens) == ["run", "dog"]
-
-
 def test_normalize_examples():
     assert normalize_tokens("Running dogs!") == ["run", "dog"]
     assert normalize_tokens("") == []
