@@ -44,7 +44,7 @@ from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
 from .rouge import ClusterScorer, SalienceVariant
-from .segment import NormalizationConfig, Stemming, by_position, load_abbreviations, segment_cluster
+from .segment import NormalizationConfig, Stemming, load_abbreviations, segment_cluster
 from .selection import SelectionConfig, Strategy
 
 
@@ -233,7 +233,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
     sentences = segment_cluster(target, abbreviations=config.abbreviations)
     scorer = ClusterScorer(sentences, variant, config.normalization)
     rows = []
-    for s in sorted(sentences, key=by_position):
+    for s in sentences:
         # ``cluster`` first: it keeps the principle score of the same
         # n-gram profile, so each sentence's profile is built once.
         cluster_rouge = scorer.cluster(s)

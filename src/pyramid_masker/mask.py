@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .segment import Sentence, by_position
+from .segment import Sentence, require_document_order
 from .selection import SelectionResult
 
 
@@ -58,52 +58,54 @@ def truncate_per_document(
     sentences: Sequence[Sentence],
     input_token_limit: int,
     num_docs: int,
-) -> list[Sentence]:
+) -> list[list[Sentence]]:
     """Cut each document's sentence stream to its share of the budget.
 
-    One separator slot is reserved per document, and the remainder is
-    split evenly.  Cuts happen at sentence boundaries: the first
-    sentence that would cross the per-document budget is dropped along
-    with everything after it.  A document whose first sentence is
-    already too long contributes nothing; if that leaves the whole
-    cluster empty, the cluster is unusable.
+    Takes ``sentences`` non-empty, in document order and from documents
+    below ``num_docs`` (``ValueError`` otherwise), and returns one list
+    of survivors per document, in document order.  One separator slot is
+    reserved per document, and the remainder is split evenly.  Cuts
+    happen at sentence boundaries: the first sentence that would cross
+    the per-document budget is dropped along with everything after it.
+    A document whose first sentence is already too long contributes
+    ``[]``; if that leaves the whole cluster empty, the cluster is
+    unusable.
     """
-    if num_docs < 1:
-        raise ValueError("num_docs must be at least 1")
+    require_document_order(sentences)
+    if not sentences or not 0 <= sentences[0].doc_index <= sentences[-1].doc_index < num_docs:
+        raise ValueError(f"no sentences, or a document index outside [0, {num_docs})")
     budget = (input_token_limit - num_docs) // num_docs
-    surviving: list[Sentence] = []
+    documents: list[list[Sentence]] = [[] for _ in range(num_docs)]
     # Each document's remaining budget; it goes negative at the first
     # sentence that does not fit and stays negative after it.
-    left: dict[int, int] = {}
-    for sentence in sorted(sentences, key=by_position):
-        doc = sentence.doc_index
-        room = left.get(doc, budget) - len(sentence.words)
-        left[doc] = room
-        if room >= 0:
-            surviving.append(sentence)
-    if not surviving:
+    left = [budget] * num_docs
+    for sentence in sentences:
+        left[sentence.doc_index] -= len(sentence.words)
+        if left[sentence.doc_index] >= 0:
+            documents[sentence.doc_index].append(sentence)
+    if not any(documents):
         raise MaskingError("cluster untruncatable: no sentence fits the per-document budget")
-    return surviving
+    return documents
 
 
 def build_masked_example(
     cluster_id: str,
-    surviving: Sequence[Sentence],
+    documents: Sequence[Sequence[Sentence]],
     selection: SelectionResult,
     config: MaskConfig,
-    num_docs: int,
 ) -> MaskedExample:
-    """Assemble input/target token streams from truncated sentences.
+    """Assemble input/target token streams from truncated documents.
 
-    ``selection`` refers to the pre-truncation sentences; picks that did
-    not survive truncation are dropped from the provenance here (masked
-    ones are counted, copied ones simply disappear).  Losing every
-    masked sentence is an error because the example would have an empty
-    target, and so is a surviving sentence holding a special token as a
-    word, because the example's separators and masks would be ambiguous.
+    ``documents`` is what ``truncate_per_document`` returns; an empty
+    document still gets its separator.  ``selection`` refers to the
+    pre-truncation sentences; picks that did not survive truncation are
+    dropped from the provenance here (masked ones are counted, copied
+    ones simply disappear).  Losing every masked sentence is an error
+    because the example would have an empty target, and so is a
+    surviving sentence holding a special token as a word, because the
+    example's separators and masks would be ambiguous.
     """
-    surviving = sorted(surviving, key=by_position)
-    by_key = {s.key: s for s in surviving}
+    by_key = {s.key: s for document in documents for s in document}
     masked = tuple(k for k in selection.masked if k in by_key)
     copied = tuple(k for k in selection.copied if k in by_key)
     dropped_masked = len(selection.masked) - len(masked)
@@ -117,23 +119,18 @@ def build_masked_example(
         scores={k: v for k, v in selection.scores.items() if k in kept},
     )
 
-    specials = (config.doc_sep_token, config.sent_mask_token)
-    by_doc: dict[int, list[Sentence]] = {}
-    for sentence in surviving:
-        for token in specials:
-            # The substring test is the cheap one, and a word is a substring.
-            if token in sentence.text and token in sentence.words:
-                raise MaskingError(f"special token {token!r} in document {sentence.doc_index}")
-        by_doc.setdefault(sentence.doc_index, []).append(sentence)
-
     masked_set = set(masked)
     input_tokens: list[str] = []
     attention: list[int] = []
-    for doc in range(num_docs):
+    for doc, document in enumerate(documents):
         if config.lead_separator or doc > 0:
             attention.append(len(input_tokens))
             input_tokens.append(config.doc_sep_token)
-        for sentence in by_doc.get(doc, ()):
+        for sentence in document:
+            for token in (config.doc_sep_token, config.sent_mask_token):
+                # The substring test is the cheap one, and a word is a substring.
+                if token in sentence.text and token in sentence.words:
+                    raise MaskingError(f"special token {token!r} in document {doc}")
             if sentence.key in masked_set:
                 input_tokens.append(config.sent_mask_token)
             else:
@@ -177,25 +174,23 @@ def roundtrip_check(
     example: MaskedExample,
     original_sentences: Sequence[Sentence],
     config: MaskConfig,
-    num_docs: int | None = None,
 ) -> RoundtripResult:
     """Verify an example against the sentences it was built from.
 
-    Re-runs truncation, rebuilds the expected target (masked then copied,
-    document order, cut at the output limit), substitutes the masked
-    originals back into the input, and compares against the truncated
-    cluster text.  Also checks that the attention indices are exactly
-    the separator positions.
+    ``original_sentences`` are in document order, so the last one's
+    document index gives the document count.  Re-runs truncation,
+    rebuilds the expected target (masked then copied, document order,
+    cut at the output limit), substitutes the masked originals back into
+    the input, and compares against the truncated cluster text.  Also
+    checks that the attention indices are exactly the separator
+    positions.
     """
-    if num_docs is None:
-        num_docs = max(s.doc_index for s in original_sentences) + 1
+    num_docs = original_sentences[-1].doc_index + 1
     try:
-        surviving = truncate_per_document(
-            original_sentences, config.input_token_limit, num_docs
-        )
+        documents = truncate_per_document(original_sentences, config.input_token_limit, num_docs)
     except MaskingError as exc:
         return RoundtripResult(False, str(exc))
-    by_key = {s.key: s for s in surviving}
+    by_key = {s.key: s for document in documents for s in document}
 
     missing = [k for k in (*example.provenance.masked, *example.provenance.copied) if k not in by_key]
     if missing:
@@ -236,14 +231,10 @@ def roundtrip_check(
         return RoundtripResult(False, f"masked sentences never substituted: {leftover}")
 
     reference: list[str] = []
-    ordered = sorted(surviving, key=by_position)
-    by_doc: dict[int, list[Sentence]] = {}
-    for sentence in ordered:
-        by_doc.setdefault(sentence.doc_index, []).append(sentence)
-    for doc in range(num_docs):
+    for doc, document in enumerate(documents):
         if config.lead_separator or doc > 0:
             reference.append(config.doc_sep_token)
-        for sentence in by_doc.get(doc, ()):
+        for sentence in document:
             reference.extend(sentence.words)
     if substituted != reference:
         return RoundtripResult(

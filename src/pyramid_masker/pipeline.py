@@ -77,12 +77,8 @@ def process_cluster(
     selection = select_sentences(
         sentences, config.selection, cluster.cluster_id, pyramid, config.normalization
     )
-    surviving = truncate_per_document(
-        sentences, config.mask.input_token_limit, len(cluster.documents)
-    )
-    return build_masked_example(
-        cluster.cluster_id, surviving, selection, config.mask, len(cluster.documents)
-    )
+    documents = truncate_per_document(sentences, config.mask.input_token_limit, len(cluster.documents))
+    return build_masked_example(cluster.cluster_id, documents, selection, config.mask)
 
 
 def example_to_record(example: MaskedExample, emit_text: bool = False) -> dict:

@@ -39,7 +39,8 @@ from operator import add
 from typing import Sequence
 
 from .segment import (
-    DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position, normalize_tokens
+    DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position, normalize_tokens,
+    require_document_order,
 )
 
 # ROUGE-L cost is quadratic, so very long sides are truncated.  4096-token
@@ -242,8 +243,8 @@ class ClusterScorer:
     revisits sentences across entities and the fallback then asks for
     the principle score of the candidates it did not pick; a sentence
     ``cluster`` never saw gets its principle score from a profile of its
-    own.  Only sentences of the cluster the scorer was built from can be
-    scored.
+    own.  It is built from a cluster's sentences in document order, and
+    only those sentences can be scored.
     """
 
     def __init__(
@@ -253,12 +254,13 @@ class ClusterScorer:
         normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
     ):
         self.variant = variant
+        require_document_order(sentences)
         # The cluster's normalized tokens, with each sentence's
         # [start, end) in them and each document's.
         flat: list[str] = []
         self._spans: dict[tuple[int, int], tuple[int, int]] = {}
         doc_spans: dict[int, list[int]] = {}
-        for s in sorted(sentences, key=by_position):
+        for s in sentences:
             start = len(flat)
             flat.extend(normalize_tokens(s.text, normalization))
             end = len(flat)
@@ -278,7 +280,7 @@ class ClusterScorer:
         # (doc_index, unigrams, their key set, bigrams, their key set,
         # unigram total, bigram total), in document order.
         self._docs = []
-        for doc_index, (start, end) in sorted(doc_spans.items()):
+        for doc_index, (start, end) in doc_spans.items():
             uni = Counter(ids[start:end])
             bi = Counter(bigram_ids[start : max(start, end - 1)])
             length = end - start

@@ -23,6 +23,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter
+from typing import Sequence
 
 from .porter import stem
 
@@ -77,6 +78,13 @@ def fold_text(text: str) -> str:
 
 # Sort key putting sentences in document order.
 by_position = attrgetter("key")
+
+
+def require_document_order(sentences: Sequence[Sentence]) -> None:
+    """Raise ``ValueError`` unless each key is greater than the one before it."""
+    for before, after in zip(sentences, sentences[1:]):
+        if after.key <= before.key:
+            raise ValueError(f"sentences not in document order: {after.key} after {before.key}")
 
 
 # Punctuation (and symbol-ish ASCII leftovers) become spaces so that
@@ -198,7 +206,7 @@ def split_sentences(
 
 
 def segment_cluster(cluster, abbreviations: frozenset[str] | None = None) -> list[Sentence]:
-    """Segment every document of a cluster, in document order."""
+    """Segment every document of a cluster, in document order (see ``require_document_order``)."""
     sentences: list[Sentence] = []
     for doc_index, document in enumerate(cluster.documents):
         sentences.extend(split_sentences(document, doc_index, cluster.cluster_id, abbreviations))

@@ -17,6 +17,9 @@ Four strategies share one result shape:
 Counts derive from two ratios over the cluster's sentence total.  At
 least one sentence is always masked, and never all of them unless the
 cluster has a single sentence.
+
+Sentences come in document order (``segment_cluster``'s); the scorer
+and each ``select_*`` but principle raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .entities import PyramidEntry, contains_mention
 from .rouge import ClusterScorer, DEFAULT_VARIANT, SalienceVariant
-from .segment import DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position
+from .segment import DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, require_document_order
 
 
 class Strategy(Enum):
@@ -141,7 +144,7 @@ def select_entity_pyramid(
     highest cluster ROUGE; ties go to the earliest position.  Picks
     beyond ``mask_count`` become the copied set.
     """
-    ordered = sorted(sentences, key=by_position)
+    require_document_order(sentences)
     need = mask_count + copy_count
     picked: list[tuple[tuple[int, int], float]] = []
     picked_keys: set[tuple[int, int]] = set()
@@ -152,7 +155,7 @@ def select_entity_pyramid(
         entity = entry.entity
         best: Sentence | None = None
         best_score = -1.0
-        for sentence in ordered:
+        for sentence in sentences:
             text = sentence.folded
             if (
                 entity not in text
@@ -171,7 +174,7 @@ def select_entity_pyramid(
     fallback_used = False
     if len(picked) < need:
         fallback_used = True
-        remaining = [s for s in ordered if s.key not in picked_keys]
+        remaining = [s for s in sentences if s.key not in picked_keys]
         picked.extend(_top_principle(remaining, need - len(picked), scorer))
 
     return _result(Strategy.ENTITY_PYRAMID, picked, mask_count, fallback_used)
@@ -192,8 +195,8 @@ def select_lead(
     mask_count: int,
     copy_count: int,
 ) -> SelectionResult:
-    ordered = sorted(sentences, key=by_position)
-    picked = [(s.key, 0.0) for s in ordered[: mask_count + copy_count]]
+    require_document_order(sentences)
+    picked = [(s.key, 0.0) for s in sentences[: mask_count + copy_count]]
     return _result(Strategy.LEAD, picked, mask_count, with_scores=False)
 
 
@@ -213,9 +216,9 @@ def select_random(
 ) -> SelectionResult:
     """Sample sentences with an RNG derived from (seed, cluster_id) so a
     cluster's picks do not depend on processing order or worker count."""
-    ordered = sorted(sentences, key=by_position)
+    require_document_order(sentences)
     rng = _cluster_rng(seed, cluster_id)
-    chosen = rng.sample([s.key for s in ordered], mask_count + copy_count)
+    chosen = rng.sample([s.key for s in sentences], mask_count + copy_count)
     picked = [(key, 0.0) for key in chosen]
     return _result(Strategy.RANDOM, picked, mask_count, with_scores=False)
 

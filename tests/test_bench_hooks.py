@@ -13,6 +13,7 @@ import importlib.util
 import io
 import json
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ import pytest
 from pyramid_masker import pipeline, porter, segment, selection
 from pyramid_masker.entities import EntitySource
 from pyramid_masker.pipeline import PipelineConfig, run_mask
+from pyramid_masker.segment import Sentence
 
 from synth import WILDFIRE_CLUSTER
 
@@ -45,10 +47,13 @@ def test_every_name_the_traced_run_patches_exists():
     assert callable(porter.stem.cache_clear)
 
 
-def recorder(calls: Counter, name: str, fn):
+def recorder(calls: Counter, name: str, fn, returned: list | None = None):
     def recorded(*args, **kwargs):
         calls[name] += 1
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        if returned is not None:
+            returned.append(result)
+        return result
 
     return recorded
 
@@ -58,8 +63,12 @@ def test_every_patch_the_traced_run_makes_takes(monkeypatch, entity_source):
     """Each patched name is called through its patch in a one-worker run."""
     names = (*load_traced().PIPELINE_SPANS, "segment_cluster", "build_pyramid", "load_clusters")
     calls: Counter = Counter()
+    segmented: list = []
     for name in names:
-        monkeypatch.setattr(pipeline, name, recorder(calls, name, getattr(pipeline, name)))
+        returned = segmented if name == "segment_cluster" else None
+        monkeypatch.setattr(
+            pipeline, name, recorder(calls, name, getattr(pipeline, name), returned)
+        )
     dumps = recorder(calls, "json", json.dumps)
     monkeypatch.setattr(pipeline, "json", SimpleNamespace(dumps=dumps))
     scorer = recorder(calls, "ClusterScorer", selection.ClusterScorer)
@@ -75,3 +84,9 @@ def test_every_patch_the_traced_run_makes_takes(monkeypatch, entity_source):
     )
     assert report.processed == 1
     assert set(calls) == {*names, "json", "ClusterScorer"}
+    # The traced run reports len() of this value as the cluster's
+    # sentence count (segment.sentences_per_cluster).
+    [sentences] = segmented
+    assert isinstance(sentences, Sequence)
+    assert all(isinstance(s, Sentence) for s in sentences)
+    assert len(sentences) == 9  # three sentences in each of three documents

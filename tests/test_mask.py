@@ -65,11 +65,13 @@ def test_special_token_must_be_one_whitespace_free_token(token):
         MaskConfig(sent_mask_token=token)
 
 
+def keys(documents):
+    return [[s.key for s in document] for document in documents]
+
+
 def test_truncate_noop_when_budget_ample():
     sentences = [sent(0, 0, "a b c"), sent(0, 1, "d e"), sent(1, 0, "f g h i")]
-    assert truncate_per_document(sentences, 100, 2) == sorted(
-        sentences, key=lambda s: s.key
-    )
+    assert truncate_per_document(sentences, 100, 2) == [sentences[:2], sentences[2:]]
 
 
 def test_truncate_splits_budget_evenly():
@@ -81,7 +83,10 @@ def test_truncate_splits_budget_evenly():
         sent(1, 1, "d d d d"),
     ]
     kept = truncate_per_document(sentences, 22, 2)
-    assert [s.key for s in kept] == [(0, 0), (1, 0), (1, 1)]
+    assert keys(kept) == [[(0, 0)], [(1, 0), (1, 1)]]
+    # a document whose first sentence is over its share keeps nothing
+    sentences[0] = sent(0, 0, "a a a a a a a a a a a")
+    assert keys(truncate_per_document(sentences, 22, 2)) == [[], [(1, 0), (1, 1)]]
 
 
 def test_truncate_cut_discards_rest_of_document():
@@ -93,12 +98,12 @@ def test_truncate_cut_discards_rest_of_document():
         sent(0, 2, "c"),
     ]
     kept = truncate_per_document(sentences, 11, 1)
-    assert [s.key for s in kept] == [(0, 0)]
+    assert keys(kept) == [[(0, 0)]]
 
 
 def test_truncate_single_document_budget():
     sentences = [sent(0, 0, "a b c d e")]
-    assert truncate_per_document(sentences, 6, 1) == sentences
+    assert truncate_per_document(sentences, 6, 1) == [sentences]
     with pytest.raises(MaskingError):
         truncate_per_document(sentences, 5, 1)
 
@@ -114,13 +119,20 @@ def test_truncate_rejects_bad_num_docs():
         truncate_per_document([], 10, 0)
 
 
+@pytest.mark.parametrize("doc_indices", [(), (-1, 0), (0, 2)])
+def test_truncate_rejects_documents_outside_num_docs(doc_indices):
+    sentences = [sent(d, 0, "a b") for d in doc_indices]
+    with pytest.raises(ValueError, match="document index outside"):
+        truncate_per_document(sentences, 100, 2)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
 
 def test_build_single_doc_example():
     sentences = [sent(0, 0, "A b."), sent(0, 1, "C d.")]
-    example = build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 1)
+    example = build_masked_example("c", [sentences], selection([(0, 0)]), MaskConfig())
     assert example.input_tokens == ("<doc-sep>", "[sent-mask]", "C", "d.")
     assert example.global_attention_indices == (0,)
     assert example.target_tokens == ("A", "b.")
@@ -128,17 +140,17 @@ def test_build_single_doc_example():
 
 
 def test_build_two_docs_separator_positions():
-    sentences = [sent(0, 0, "A b."), sent(1, 0, "C d. E")]
-    example = build_masked_example("c", sentences, selection([(1, 0)]), MaskConfig(), 2)
+    documents = [[sent(0, 0, "A b.")], [sent(1, 0, "C d. E")]]
+    example = build_masked_example("c", documents, selection([(1, 0)]), MaskConfig())
     assert example.input_tokens == ("<doc-sep>", "A", "b.", "<doc-sep>", "[sent-mask]")
     assert example.global_attention_indices == (0, 3)
     assert example.target_tokens == ("C", "d.", "E")
 
 
 def test_build_without_lead_separator():
-    sentences = [sent(0, 0, "A b."), sent(1, 0, "C d.")]
+    documents = [[sent(0, 0, "A b.")], [sent(1, 0, "C d.")]]
     config = MaskConfig(lead_separator=False)
-    example = build_masked_example("c", sentences, selection([(1, 0)]), config, 2)
+    example = build_masked_example("c", documents, selection([(1, 0)]), config)
     assert example.input_tokens == ("A", "b.", "<doc-sep>", "[sent-mask]")
     assert example.global_attention_indices == (2,)
 
@@ -146,14 +158,14 @@ def test_build_without_lead_separator():
 def test_build_custom_special_tokens():
     sentences = [sent(0, 0, "A b."), sent(0, 1, "C d.")]
     config = MaskConfig(doc_sep_token="<s>", sent_mask_token="<gap>")
-    example = build_masked_example("c", sentences, selection([(0, 1)]), config, 1)
+    example = build_masked_example("c", [sentences], selection([(0, 1)]), config)
     assert example.input_tokens == ("<s>", "A", "b.", "<gap>")
 
 
 def test_copied_sentence_stays_in_input_and_joins_target():
     sentences = [sent(0, 0, "A b."), sent(0, 1, "C d."), sent(0, 2, "E f.")]
     example = build_masked_example(
-        "c", sentences, selection([(0, 0)], copied=[(0, 2)]), MaskConfig(), 1
+        "c", [sentences], selection([(0, 0)], copied=[(0, 2)]), MaskConfig()
     )
     assert example.input_tokens == ("<doc-sep>", "[sent-mask]", "C", "d.", "E", "f.")
     assert example.target_tokens == ("A", "b.", "E", "f.")
@@ -161,8 +173,8 @@ def test_copied_sentence_stays_in_input_and_joins_target():
 
 def test_separator_emitted_for_empty_document():
     # doc 1 lost everything to truncation but still gets its separator
-    sentences = [sent(0, 0, "A b.")]
-    example = build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 2)
+    documents = [[sent(0, 0, "A b.")], []]
+    example = build_masked_example("c", documents, selection([(0, 0)]), MaskConfig())
     assert example.input_tokens == ("<doc-sep>", "[sent-mask]", "<doc-sep>")
     assert example.global_attention_indices == (0, 2)
 
@@ -170,7 +182,7 @@ def test_separator_emitted_for_empty_document():
 def test_truncated_masked_sentence_is_counted():
     sentences = [sent(0, 0, "A b."), sent(0, 1, "C d.")]
     picks = selection([(0, 0), (0, 5)], scores={(0, 0): 1.0, (0, 5): 0.5})
-    example = build_masked_example("c", sentences, picks, MaskConfig(), 1)
+    example = build_masked_example("c", [sentences], picks, MaskConfig())
     assert example.dropped_masked == 1
     assert example.provenance.masked == ((0, 0),)
     assert example.provenance.scores == {(0, 0): 1.0}
@@ -179,7 +191,7 @@ def test_truncated_masked_sentence_is_counted():
 def test_truncated_copied_sentence_vanishes_silently():
     sentences = [sent(0, 0, "A b.")]
     picks = selection([(0, 0)], copied=[(0, 7)])
-    example = build_masked_example("c", sentences, picks, MaskConfig(), 1)
+    example = build_masked_example("c", [sentences], picks, MaskConfig())
     assert example.dropped_masked == 0
     assert example.provenance.copied == ()
 
@@ -187,19 +199,19 @@ def test_truncated_copied_sentence_vanishes_silently():
 def test_all_masked_truncated_raises():
     sentences = [sent(0, 0, "A b.")]
     with pytest.raises(MaskingError, match="empty target"):
-        build_masked_example("c", sentences, selection([(0, 3)]), MaskConfig(), 1)
+        build_masked_example("c", [sentences], selection([(0, 3)]), MaskConfig())
 
 
 @pytest.mark.parametrize("token", ["<doc-sep>", "[sent-mask]"])
 def test_special_token_as_a_word_is_an_error(token):
     sentences = [sent(0, 0, "A b."), sent(0, 1, f"The {token} word.")]
     with pytest.raises(MaskingError, match=re.escape(f"special token {token!r} in document 0")):
-        build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 1)
+        build_masked_example("c", [sentences], selection([(0, 0)]), MaskConfig())
 
 
 def test_special_token_inside_a_word_still_masks():
     sentences = [sent(0, 0, "A b."), sent(0, 1, "x<doc-sep>y and x[sent-mask]y.")]
-    example = build_masked_example("c", sentences, selection([(0, 0)]), MaskConfig(), 1)
+    example = build_masked_example("c", [sentences], selection([(0, 0)]), MaskConfig())
     assert example.input_tokens == ("<doc-sep>", "[sent-mask]", "x<doc-sep>y", "and", "x[sent-mask]y.")
     assert example.global_attention_indices == (0,)
     assert roundtrip_check(example, sentences, MaskConfig())
@@ -208,7 +220,7 @@ def test_special_token_inside_a_word_still_masks():
 def test_output_limit_cuts_target_mid_sentence():
     sentences = [sent(0, 0, "A b c d e."), sent(0, 1, "F g.")]
     config = MaskConfig(output_token_limit=3)
-    example = build_masked_example("c", sentences, selection([(0, 0)]), config, 1)
+    example = build_masked_example("c", [sentences], selection([(0, 0)]), config)
     assert example.target_tokens == ("A", "b", "c")
 
 
@@ -227,12 +239,10 @@ def pipeline_example(cluster, config=MaskConfig(), strategy=Strategy.LEAD):
         cluster_id=cluster.cluster_id,
         pyramid=pyramid,
     )
-    surviving = truncate_per_document(
+    documents = truncate_per_document(
         sentences, config.input_token_limit, len(cluster.documents)
     )
-    example = build_masked_example(
-        cluster.cluster_id, surviving, picks, config, len(cluster.documents)
-    )
+    example = build_masked_example(cluster.cluster_id, documents, picks, config)
     return example, sentences
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import example, given, strategies as st
 
 from pyramid_masker import (
@@ -12,7 +14,15 @@ from pyramid_masker import (
     segment_cluster,
     split_sentences,
 )
-from pyramid_masker.segment import Sentence, default_abbreviations, fold_text, load_abbreviations
+from pyramid_masker.segment import (
+    Sentence,
+    default_abbreviations,
+    fold_text,
+    load_abbreviations,
+    require_document_order,
+)
+
+from synth import long_cluster, punctuated_cluster, synthetic_cluster
 
 RAW = NormalizationConfig(lowercase=False, strip_punctuation=False, stemming=Stemming.NONE)
 
@@ -117,6 +127,18 @@ def test_segment_cluster_orders_documents():
     sentences = segment_cluster(cluster)
     assert [s.key for s in sentences] == [(0, 0), (0, 1), (1, 0)]
     assert {s.cluster_id for s in sentences} == {"c"}
+    # roundtrip_check counts a cluster's documents from its last sentence
+    rng = random.Random(16)
+    for i in range(20):
+        for cluster in (
+            synthetic_cluster(rng, f"s{i}"),
+            punctuated_cluster(rng, f"p{i}"),
+            long_cluster(rng, f"l{i}", num_docs=rng.randint(1, 4), tokens_per_doc=60),
+        ):
+            sentences = segment_cluster(cluster)
+            require_document_order(sentences)
+            doc_indices = list(dict.fromkeys(s.doc_index for s in sentences))
+            assert doc_indices == list(range(len(cluster.documents))), cluster.cluster_id
 
 
 def test_abbreviation_override(tmp_path):

@@ -19,6 +19,7 @@ from pyramid_masker import (
     extract_entities,
     segment_cluster,
     select_sentences,
+    truncate_per_document,
 )
 from pyramid_masker.segment import Sentence, fold_text
 from pyramid_masker.selection import (
@@ -98,11 +99,46 @@ def test_lead_takes_cluster_prefix():
     assert not result.scores
 
 
-def test_lead_order_independent_of_input_order():
+def _select(strategy):
+    pyramid = build_pyramid(extract_entities(wildfire_sentences()), 3)
+    config = SelectionConfig(strategy=strategy)
+    return lambda sentences: select_sentences(sentences, config, "wildfire", pyramid)
+
+
+# Every function whose answer depends on the order of the list it is given.
+ORDER_DEPENDENT = {
+    "select_entity_pyramid": lambda sentences: select_entity_pyramid(
+        sentences, [PyramidEntry("colorado", 2, ())], 1, 1, ClusterScorer(wildfire_sentences())
+    ),
+    "select_lead": lambda sentences: select_lead(sentences, 2, 1),
+    "select_random": lambda sentences: select_random(sentences, 2, 1, 7, "wildfire"),
+    **{f"select_sentences-{s.value}": _select(s) for s in Strategy},
+    "ClusterScorer": ClusterScorer,
+    "truncate_per_document": lambda sentences: truncate_per_document(sentences, 4096, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_DEPENDENT))
+def test_input_out_of_document_order_is_rejected(name):
+    call = ORDER_DEPENDENT[name]
+    sentences = wildfire_sentences()
+    call(sentences)
+    shuffled = list(sentences)
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != sentences
+    repeated = sentences[:3] + sentences[2:]
+    for bad in (shuffled, repeated):
+        with pytest.raises(ValueError, match="not in document order"):
+            call(bad)
+
+
+def test_principle_ranking_ignores_presentation_order():
+    # ranked by (-score, key), which no list order changes
     sentences = wildfire_sentences()
     shuffled = list(sentences)
     random.Random(3).shuffle(shuffled)
-    assert select_lead(shuffled, 2, 1) == select_lead(sentences, 2, 1)
+    scorer = ClusterScorer(sentences)
+    assert select_principle(shuffled, 2, 1, scorer) == select_principle(sentences, 2, 1, scorer)
 
 
 def test_random_is_deterministic_per_cluster():
@@ -120,15 +156,6 @@ def test_random_varies_with_seed_and_cluster_id():
     other_id = select_random(sentences, 3, 0, seed=7, cluster_id="elsewhere")
     assert base != other_seed
     assert base != other_id
-
-
-def test_random_ignores_presentation_order():
-    sentences = wildfire_sentences()
-    shuffled = list(sentences)
-    random.Random(5).shuffle(shuffled)
-    assert select_random(shuffled, 2, 1, 7, "wildfire") == select_random(
-        sentences, 2, 1, 7, "wildfire"
-    )
 
 
 def test_principle_prefers_repeated_quote():
