@@ -25,6 +25,7 @@ from pyramid_masker import (
     Strategy,
     run_mask,
 )
+from pyramid_masker import selection
 from pyramid_masker.cli import main
 
 from synth import WILDFIRE_CLUSTER, long_cluster, punctuated_cluster, synthetic_cluster
@@ -42,6 +43,20 @@ PUNCTUATED_SHA256 = {
     EntitySource.RULES: "533a2500f9a0ccaafaa5842f4d29f958893bac665c3fde9ff86c129da59e3221",
     EntitySource.PROVIDED: "8bf8eb266bf713159ff39094713877c33e9eebebf96aad1713357cd3531c5799",
 }
+
+
+# The provided locator's drops on the punctuated corpus, as (cluster,
+# surface, doc): each annotated cluster carries one surface its document
+# never holds, and every other annotation is located.
+PUNCTUATED_DROPS = {
+    EntitySource.RULES: [],
+    EntitySource.PROVIDED: [(f"punct{i}", "Nowhere Mentioned", 0) for i in range(0, 40, 2)],
+}
+
+
+# Total ``ClusterScorer`` calls of an entity_pyramid run over the golden
+# corpus: candidates scored by cluster ROUGE, and principle scores read.
+SCORER_CALLS = {"cluster": 722, "principle": 1417}
 
 
 # `mask` stdout on the golden corpus with every normalization stage
@@ -120,10 +135,34 @@ def test_raw_normalization_digest(strategy):
 def test_punctuated_entity_pyramid_digest(source):
     sink = io.StringIO()
     config = PipelineConfig(entity_source=source)
-    report = run_mask(io.BytesIO(_punctuated_corpus()), sink, config, diagnostics=io.StringIO())
+    diagnostics = io.StringIO()
+    report = run_mask(io.BytesIO(_punctuated_corpus()), sink, config, diagnostics=diagnostics)
     assert report.processed == 40 and report.skipped == 0
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
     assert digest == PUNCTUATED_SHA256[source]
+    events = [json.loads(line) for line in diagnostics.getvalue().splitlines()]
+    drops = [
+        (e["cluster_id"], e["surface"], e["doc"]) for e in events if e["event"] == "entity_dropped"
+    ]
+    assert drops == PUNCTUATED_DROPS[source]
+
+
+def test_entity_pyramid_scorer_call_counts(monkeypatch):
+    calls = dict.fromkeys(SCORER_CALLS, 0)
+
+    class CountingScorer(selection.ClusterScorer):
+        def cluster(self, sentence):
+            calls["cluster"] += 1
+            return super().cluster(sentence)
+
+        def principle(self, sentence):
+            calls["principle"] += 1
+            return super().principle(sentence)
+
+    monkeypatch.setattr(selection, "ClusterScorer", CountingScorer)
+    report = run_mask(io.BytesIO(_corpus()), io.StringIO(), PipelineConfig(), diagnostics=io.StringIO())
+    assert report.processed == 47
+    assert calls == SCORER_CALLS
 
 
 @pytest.mark.parametrize("variant", list(SCORE_SENTENCE_SHA256), ids=lambda v: v.value)
