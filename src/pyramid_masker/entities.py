@@ -5,7 +5,8 @@ extractor (capitalized name runs, years, quantities with units) and
 caller-provided annotations.  Mentions sharing a normalized surface form
 are grouped into pyramid entries ranked by how many distinct documents
 contain them; entities seen in a single document are discarded because
-they carry no cross-document signal.
+they carry no cross-document signal.  Where a mention is gets decided
+here alone: ``fold_text``, ``contains_mention``, ``entity_candidates``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .segment import Sentence, fold_text
+from .segment import Sentence
 
 
 class EntitySource(Enum):
@@ -42,6 +43,12 @@ class PyramidEntry:
     locations: tuple[tuple[int, int], ...]
 
 
+def fold_text(text: str) -> str:
+    """Whitespace collapsed to single spaces, then case-folded: the form
+    in which entity mentions are grouped and matched."""
+    return " ".join(text.split()).casefold()
+
+
 def _is_word_char(ch: str) -> bool:
     """Whether ``ch`` is a word character, as ``\\w`` matches in a str
     pattern."""
@@ -64,9 +71,23 @@ def contains_mention(text: str, entity: str) -> bool:
     return False
 
 
+def entity_candidates(
+    sentences: Sequence[Sentence], pyramid: Sequence[PyramidEntry]
+) -> Iterator[tuple[PyramidEntry, list[Sentence]]]:
+    """Each pyramid entry, in order, with the sentences (in the order
+    given) whose folded text holds its entity at token boundaries.  Each
+    sentence is folded once per call, and none for an empty pyramid."""
+    if not pyramid:
+        return
+    folded = [(fold_text(s.text), s) for s in sentences]
+    for entry in pyramid:
+        entity = entry.entity
+        yield entry, [s for text, s in folded if entity in text and contains_mention(text, entity)]
+
+
 def _mention(surface: str, doc_index: int, sent_index: int) -> EntityMention:
     # The normalized form is the folded surface, the same form as the
-    # ``Sentence.folded`` text it is matched in.
+    # sentence text it is matched in.
     return EntityMention(
         surface=surface,
         normalized=fold_text(surface),
@@ -195,23 +216,20 @@ def extract_entities_provided(
     """Locate caller-provided (surface, doc) annotations in the cluster.
 
     Each annotation is pinned to the first sentence of its document whose
-    ``folded`` text contains the surface's folded form.  Annotations that
+    folded text contains the surface's folded form.  Annotations that
     cannot be located are dropped so one bad record does not sink the
     cluster; each drop appends an ``entity_dropped`` event to ``events``
     when the caller passes a list to report them from.
     """
     cluster_id = sentences[0].cluster_id if sentences else ""
-    by_doc: dict[int, list[Sentence]] = {}
+    by_doc: dict[int, list[tuple[str, Sentence]]] = {ann.doc_index: [] for ann in annotations}
     for sentence in sentences:
-        by_doc.setdefault(sentence.doc_index, []).append(sentence)
+        if sentence.doc_index in by_doc:
+            by_doc[sentence.doc_index].append((fold_text(sentence.text), sentence))
     mentions: list[EntityMention] = []
     for ann in annotations:
         needle = fold_text(ann.surface)
-        hit = None
-        for sentence in by_doc.get(ann.doc_index, ()):
-            if needle in sentence.folded:
-                hit = sentence
-                break
+        hit = next((s for text, s in by_doc[ann.doc_index] if needle in text), None)
         if hit is None:
             if events is not None:
                 events.append(

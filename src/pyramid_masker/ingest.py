@@ -49,12 +49,22 @@ class EntityAnnotation:
 
 @dataclass(frozen=True)
 class DocumentCluster:
-    """One set of related documents, the unit of processing."""
+    """One set of related documents, the unit of processing.  Each
+    document holds a non-space character, or ``ValueError`` is raised."""
 
     cluster_id: str
     documents: tuple[str, ...]
     gold_summary: str | None = None
     entity_annotations: tuple[EntityAnnotation, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not self.documents:
+            raise ValueError("empty cluster")
+        for i, doc in enumerate(self.documents):
+            if not isinstance(doc, str):
+                raise ValueError(f"document {i} is not a string")
+            if not doc.strip():
+                raise ValueError(f"document {i} is empty")
 
 
 def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
@@ -66,13 +76,6 @@ def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
     documents = record.get("documents")
     if not isinstance(documents, list):
         raise ValueError("documents must be an array of strings")
-    if not documents:
-        raise ValueError("empty cluster")
-    for i, doc in enumerate(documents):
-        if not isinstance(doc, str):
-            raise ValueError(f"document {i} is not a string")
-        if not doc.strip():
-            raise ValueError(f"document {i} is empty")
 
     summary = record.get("summary")
     if summary is not None:
@@ -100,15 +103,12 @@ def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
             parsed.append(EntityAnnotation(surface=surface, doc_index=doc))
         annotations = tuple(parsed)
 
+    # Building the cluster validates its documents.
+    cluster = DocumentCluster(cluster_id, tuple(documents), summary, annotations)
     if cluster_id in seen_ids:
         raise ValueError(f"duplicate cluster_id {cluster_id!r}")
     seen_ids.add(cluster_id)
-    return DocumentCluster(
-        cluster_id=cluster_id,
-        documents=tuple(documents),
-        gold_summary=summary,
-        entity_annotations=annotations,
-    )
+    return cluster
 
 
 def _log_record_error(error: RecordError) -> None:

@@ -177,15 +177,16 @@ def roundtrip_check(
 ) -> RoundtripResult:
     """Verify an example against the sentences it was built from.
 
-    ``original_sentences`` are in document order, so the last one's
-    document index gives the document count.  Re-runs truncation,
+    ``original_sentences`` are in document order, and no document of a
+    ``DocumentCluster`` lacks one, so the last one's document index gives
+    the document count (none: ``ValueError``).  Re-runs truncation,
     rebuilds the expected target (masked then copied, document order,
     cut at the output limit), substitutes the masked originals back into
     the input, and compares against the truncated cluster text.  Also
     checks that the attention indices are exactly the separator
     positions.
     """
-    num_docs = original_sentences[-1].doc_index + 1
+    num_docs = original_sentences[-1].doc_index + 1 if original_sentences else 0
     try:
         documents = truncate_per_document(original_sentences, config.input_token_limit, num_docs)
     except MaskingError as exc:

@@ -66,8 +66,6 @@ def process_cluster(
     ``entity_dropped``, are appended to ``events`` when it is given.
     """
     sentences = segment_cluster(cluster, config.abbreviations)
-    if not sentences:
-        raise MaskingError("cluster has no sentences")
     pyramid = None
     if config.selection.strategy is Strategy.ENTITY_PYRAMID:
         mentions = extract_entities(

@@ -9,8 +9,8 @@ as a package resource so segmentation is reproducible; see
 Normalization is what the ROUGE scorer counts n-grams of: lowercase,
 punctuation replaced by spaces, whitespace split, Porter stemming.  Each
 stage is independently switchable via ``NormalizationConfig``.  The
-scorer normalizes the text of the sentences it scores; segmentation only
-splits.
+scorer normalizes the text of the sentences it scores, and ``entities``
+folds the text it finds mentions in; segmentation only splits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import string
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from operator import attrgetter
 from typing import Sequence
@@ -50,8 +50,7 @@ class Sentence:
     ``key``, ``(doc_index, sent_index)``, identifies the sentence within
     a cluster.  ``words``, the whitespace tokens of ``text``, are what
     name runs, truncation and assembly read.  Both are stored at
-    construction, so ``text`` is split once.  ``folded`` is the text
-    entity mentions are matched in, built on first use.
+    construction, so ``text`` is split once.
     """
 
     cluster_id: str
@@ -64,16 +63,6 @@ class Sentence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.doc_index, self.sent_index))
         object.__setattr__(self, "words", tuple(self.text.split()))
-
-    @cached_property
-    def folded(self) -> str:
-        return " ".join(self.words).casefold()
-
-
-def fold_text(text: str) -> str:
-    """Whitespace collapsed to single spaces, then case-folded: the form
-    in which entity mentions are grouped and matched."""
-    return " ".join(text.split()).casefold()
 
 
 # Sort key putting sentences in document order.

@@ -3,11 +3,12 @@
 Four strategies share one result shape:
 
 * ``entity_pyramid`` -- walk entities from most- to least-shared across
-  documents; for each, mask the sentence mentioning it that best
-  summarizes the *other* documents (cluster ROUGE).  At most one
-  sentence per entity.  If the pyramid runs dry before enough sentences
-  are chosen, the remainder comes from the principle ranking and the
-  result is flagged ``fallback_used``.
+  documents; for each, mask the sentence mentioning it (as
+  ``entities.entity_candidates`` finds them) that best summarizes the
+  *other* documents (cluster ROUGE).  At most one sentence per entity.
+  If the pyramid runs dry before enough sentences are chosen, the
+  remainder comes from the principle ranking and the result is flagged
+  ``fallback_used``.
 * ``principle`` -- rank every sentence by ROUGE against the rest of the
   cluster and take the top.
 * ``lead`` -- first sentences in document order.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .entities import PyramidEntry, contains_mention
+from .entities import PyramidEntry, entity_candidates
 from .rouge import ClusterScorer, DEFAULT_VARIANT, SalienceVariant
 from .segment import DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, require_document_order
 
@@ -136,32 +137,23 @@ def select_entity_pyramid(
 ) -> SelectionResult:
     """One pass over the pyramid, most frequent entity first.
 
-    A sentence is a candidate for an entity when the entity occurs in
-    its ``folded`` text at token boundaries (``contains_mention``, so
-    "us" never matches inside "usage").  A plain substring test screens
-    sentences first; it cannot reject a boundary match.  Each
-    entity contributes at most one sentence, the candidate with the
-    highest cluster ROUGE; ties go to the earliest position.  Picks
-    beyond ``mask_count`` become the copied set.
+    An entity's candidates are the sentences ``entity_candidates``
+    yields for it (a mention at token boundaries, so "us" never matches
+    inside "usage"), less those already picked.  Each entity contributes
+    at most one sentence, the candidate with the highest cluster ROUGE;
+    ties go to the earliest position.  No entry after the last pick is
+    matched.  Picks beyond ``mask_count`` become the copied set.
     """
     require_document_order(sentences)
     need = mask_count + copy_count
     picked: list[tuple[tuple[int, int], float]] = []
     picked_keys: set[tuple[int, int]] = set()
 
-    for entry in pyramid:
-        if len(picked) == need:
-            break
-        entity = entry.entity
+    for _, candidates in entity_candidates(sentences, pyramid):
         best: Sentence | None = None
         best_score = -1.0
-        for sentence in sentences:
-            text = sentence.folded
-            if (
-                entity not in text
-                or sentence.key in picked_keys
-                or not contains_mention(text, entity)
-            ):
+        for sentence in candidates:
+            if sentence.key in picked_keys:
                 continue
             score = scorer.cluster(sentence)
             if score > best_score:
@@ -170,6 +162,8 @@ def select_entity_pyramid(
             continue
         picked.append((best.key, best_score))
         picked_keys.add(best.key)
+        if len(picked) == need:
+            break
 
     fallback_used = False
     if len(picked) < need:

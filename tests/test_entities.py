@@ -12,10 +12,12 @@ from pyramid_masker import (
     DocumentCluster,
     EntityAnnotation,
     EntitySource,
+    PyramidEntry,
     build_pyramid,
     extract_entities,
     segment_cluster,
 )
+from pyramid_masker import entities
 from pyramid_masker.entities import (
     EntityMention,
     _QUANTITY_RE,
@@ -23,10 +25,12 @@ from pyramid_masker.entities import (
     _YEAR_RE,
     _word_runs,
     contains_mention,
+    entity_candidates,
     extract_entities_provided,
     extract_entities_rules,
+    fold_text,
 )
-from pyramid_masker.segment import fold_text, split_sentences
+from pyramid_masker.segment import Sentence, split_sentences
 
 from oracles import (
     ORACLE_LEADING_PUNCT,
@@ -34,6 +38,7 @@ from oracles import (
     QUANTITY_RE_ORACLE,
     TESTED_FIRSTS_ORACLE,
     YEAR_RE_ORACLE,
+    contains_entity_oracle,
     word_runs_oracle,
 )
 
@@ -300,3 +305,57 @@ def test_contains_mention_equals_the_boundary_regex(hay, data):
     else:
         entity = data.draw(st.text(_MATCH_ALPHABET, min_size=1, max_size=4))
     assert contains_mention(hay, entity) == _boundary_regex(hay, entity)
+
+
+# ---------------------------------------------------------------------------
+# the candidate scan against the oracle filter
+
+# Mentions, near misses that hold them only as substrings, case and
+# whitespace variants, and punctuation next to a word.
+_CANDIDATE_PIECES = [
+    "Us", "us", "usage", "bus", "U.S.", "u.s.", "Straße", "STRASSE", "zed", "Zed,", "amazed",
+    "İzmir", "_us", " ", " ", "  ", "\t", "\n", "\xa0",
+]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_CANDIDATE_PIECES), max_size=8).map("".join), max_size=6),
+    st.lists(
+        st.lists(st.sampled_from(_CANDIDATE_PIECES), min_size=1, max_size=3).map(
+            lambda pieces: fold_text("".join(pieces))
+        ),
+        max_size=5,
+    ),
+)
+def test_entity_candidates_equal_the_oracle_filter(texts, entity_forms):
+    sentences = [Sentence("c", 0, i, text) for i, text in enumerate(texts)]
+    pyramid = [PyramidEntry(entity, 2, ()) for entity in entity_forms]
+    yielded = list(entity_candidates(sentences, pyramid))
+    assert [entry for entry, _ in yielded] == pyramid
+    for entry, candidates in yielded:
+        assert candidates == [s for s in sentences if contains_entity_oracle(s.text, entry.entity)]
+
+
+def test_entity_candidates_fold_each_sentence_once(monkeypatch):
+    folded = []
+    fold = entities.fold_text
+
+    def counted(text):
+        folded.append(text)
+        return fold(text)
+
+    monkeypatch.setattr(entities, "fold_text", counted)
+    sentences = split_sentences("Colorado burned. Crews fled Colorado. Rain came.", 0)
+    pyramid = [PyramidEntry(entity, 2, ()) for entity in ("colorado", "crews", "rain came")]
+    yielded = list(entity_candidates(sentences, pyramid))
+    keys = [[s.key for s in candidates] for _, candidates in yielded]
+    assert keys == [[(0, 0), (0, 1)], [(0, 1)], [(0, 2)]]
+    assert folded == [s.text for s in sentences]
+
+
+def test_empty_pyramid_folds_nothing(monkeypatch):
+    def refuse(text):
+        raise AssertionError("fold_text called for an empty pyramid")
+
+    monkeypatch.setattr(entities, "fold_text", refuse)
+    assert list(entity_candidates(split_sentences("Colorado burned.", 0), [])) == []

@@ -106,6 +106,27 @@ def test_bad_records_are_reported_and_skipped(record, reason_fragment):
     assert reason_fragment in errors[0].reason
 
 
+@pytest.mark.parametrize(
+    "documents,reason",
+    [
+        ((), "empty cluster"),
+        (("x", 3), "document 1 is not a string"),
+        (("A b c. D e f.", "G h i. J k.", "   "), "document 2 is empty"),
+    ],
+)
+def test_cluster_rejects_documents_without_a_sentence(documents, reason):
+    with pytest.raises(ValueError, match=reason):
+        DocumentCluster("c", documents)
+
+
+def test_rejected_record_does_not_claim_its_id():
+    clusters, errors = collect(
+        jsonl({"cluster_id": "a", "documents": ["  "]}, {"cluster_id": "a", "documents": ["x"]})
+    )
+    assert [c.cluster_id for c in clusters] == ["a"]
+    assert [e.reason for e in errors] == ["document 0 is empty"]
+
+
 def test_invalid_utf8_reported():
     stream = io.BytesIO(b'\xff\xfe{"cluster_id"\n{"cluster_id": "ok", "documents": ["x"]}\n')
     clusters, errors = collect(stream)

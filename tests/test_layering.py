@@ -1,0 +1,60 @@
+"""Where a mention is gets decided in one module, ``entities``.
+
+These read the package source: only ``entities.py`` may define or name
+the folded form and the boundary rule, and a ``Sentence`` carries no
+folded text of its own.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pyramid_masker
+from pyramid_masker.segment import Sentence
+
+PACKAGE = Path(pyramid_masker.__file__).parent
+MENTION_RULE = {"fold_text", "contains_mention"}
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text("utf-8"))
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name the code defines, imports, reads or writes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+def test_only_entities_names_the_mention_rule():
+    modules = sorted(path.name for path in PACKAGE.glob("*.py"))
+    assert "entities.py" in modules
+    named = {name: _names(_tree(name)) & MENTION_RULE for name in modules}
+    assert {name: found for name, found in named.items() if found} == {
+        "entities.py": MENTION_RULE
+    }
+
+
+def test_sentence_has_no_folded_text():
+    (sentence_class,) = [
+        node for node in _tree("segment.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "Sentence"
+    ]
+    assert "folded" not in _names(sentence_class)
+    assert not hasattr(Sentence("c", 0, 0, "Some Text."), "folded")
+    for path in PACKAGE.glob("*.py"):
+        reads = [
+            node for node in ast.walk(_tree(path.name))
+            if isinstance(node, ast.Attribute) and node.attr == "folded"
+        ]
+        assert reads == [], path.name

@@ -253,6 +253,12 @@ def test_roundtrip_accepts_clean_example():
     assert result.diagnostic == ""
 
 
+def test_roundtrip_without_sentences_is_a_value_error():
+    example, _ = pipeline_example(WILDFIRE_CLUSTER)
+    with pytest.raises(ValueError, match="no sentences"):
+        roundtrip_check(example, [], MaskConfig())
+
+
 def test_roundtrip_flags_tampered_target():
     example, sentences = pipeline_example(WILDFIRE_CLUSTER)
     tampered = replace(

@@ -24,7 +24,7 @@ from pyramid_masker import (
     run_mask,
     segment_cluster,
 )
-from pyramid_masker import pipeline, rouge, segment
+from pyramid_masker import entities, pipeline, rouge
 from pyramid_masker.ingest import load_clusters
 from pyramid_masker.pipeline import CHUNK_SIZE, example_to_record
 
@@ -60,9 +60,10 @@ def test_process_cluster_end_to_end():
 
 
 def test_process_cluster_without_sentences():
-    cluster = DocumentCluster("empty", ("   ", "\n\t"))
-    with pytest.raises(MaskingError, match="no sentences"):
-        process_cluster(cluster, PipelineConfig())
+    # A cluster without sentences cannot be built, so it never reaches
+    # process_cluster: every document must hold a non-space character.
+    with pytest.raises(ValueError, match="document 0 is empty"):
+        DocumentCluster("empty", ("   ", "\n\t"))
 
 
 def test_process_cluster_untruncatable():
@@ -322,10 +323,10 @@ def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
     """Neither the scoring tokens nor the folded text is ever built."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("normalize_tokens called or Sentence.folded read")
+        raise AssertionError("normalize_tokens or fold_text called")
 
     monkeypatch.setattr(rouge, "normalize_tokens", refuse)
-    monkeypatch.setattr(segment.Sentence, "folded", property(refuse))
+    monkeypatch.setattr(entities, "fold_text", refuse)
     config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
     report, _, _ = drive(make_corpus(4, seed=5), config)
     assert report.processed == 4

@@ -17,7 +17,6 @@ from pyramid_masker import (
 from pyramid_masker.segment import (
     Sentence,
     default_abbreviations,
-    fold_text,
     load_abbreviations,
     require_document_order,
 )
@@ -221,4 +220,3 @@ _WORD_ALPHABET = "aB É\t\n\xa0\x1c\u2028\u3000.\u0301"
 def test_sentence_words_are_the_one_whitespace_split(text):
     sentence = Sentence("c", 0, 0, text)
     assert sentence.words == tuple(text.split())
-    assert sentence.folded == fold_text(text)

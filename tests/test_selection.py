@@ -21,7 +21,8 @@ from pyramid_masker import (
     select_sentences,
     truncate_per_document,
 )
-from pyramid_masker.segment import Sentence, fold_text
+from pyramid_masker.entities import fold_text
+from pyramid_masker.segment import Sentence
 from pyramid_masker.selection import (
     select_entity_pyramid,
     select_lead,
@@ -249,6 +250,31 @@ def test_entity_tie_breaks_to_earliest_sentence():
     scorer = ClusterScorer(sentences)
     result = select_entity_pyramid(sentences, pyramid, 1, 0, scorer)
     assert result.masked == ((0, 0),)
+
+
+class _UnreadEntry:
+    """A pyramid entry that fails the test when its entity is read."""
+
+    @property
+    def entity(self):
+        raise AssertionError("an entry after the last pick was matched")
+
+
+def test_entity_pyramid_matches_no_entry_after_the_last_pick():
+    sentences = [
+        sent(0, 0, "Brimfel spoke today"),
+        sent(1, 0, "Dorlith left after dark"),
+        sent(1, 1, "word spread fast"),
+    ]
+    pyramid = [
+        PyramidEntry("brimfel", 2, ((0, 0),)),
+        PyramidEntry("dorlith", 2, ((1, 0),)),
+        _UnreadEntry(),
+        _UnreadEntry(),
+    ]
+    result = select_entity_pyramid(sentences, pyramid, 1, 1, ClusterScorer(sentences))
+    assert not result.fallback_used
+    assert sorted(result.masked + result.copied) == [(0, 0), (1, 0)]
 
 
 def test_entity_pyramid_one_sentence_per_entity():
