@@ -128,6 +128,31 @@ def contains_entity_oracle(sentence_text, entity):
         start = i + 1
 
 
+def provided_locator_oracle(docs, annotations):
+    """Where each (surface, doc) annotation sits: the first sentence of
+    ``docs[doc]`` whose whitespace-collapsed, case-folded text contains
+    the surface folded the same way.  ``docs`` is a list of documents,
+    each a list of sentence texts.  Returns the located
+    (folded surface, doc, sentence) triples and the (surface, doc) pairs
+    that sit nowhere, each list in annotation order."""
+    located = []
+    dropped = []
+    for surface, doc in annotations:
+        needle = " ".join(surface.split()).casefold()
+        found = -1
+        j = 0
+        while j < len(docs[doc]):
+            if needle in " ".join(docs[doc][j].split()).casefold():
+                found = j
+                break
+            j += 1
+        if found < 0:
+            dropped.append((surface, doc))
+        else:
+            located.append((needle, doc, found))
+    return located, dropped
+
+
 # The punctuation a word sheds before its capital is tested: any of
 # these from both ends, then any of the opening marks from the front.
 ORACLE_TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"

@@ -39,6 +39,7 @@ from oracles import (
     TESTED_FIRSTS_ORACLE,
     YEAR_RE_ORACLE,
     contains_entity_oracle,
+    provided_locator_oracle,
     word_runs_oracle,
 )
 
@@ -359,3 +360,44 @@ def test_empty_pyramid_folds_nothing(monkeypatch):
 
     monkeypatch.setattr(entities, "fold_text", refuse)
     assert list(entity_candidates(split_sentences("Colorado burned.", 0), [])) == []
+
+
+# ---------------------------------------------------------------------------
+# the provided locator against its oracle
+
+_NON_BLANK = st.lists(st.sampled_from(_CANDIDATE_PIECES), min_size=1, max_size=6).map(
+    "".join
+).filter(str.strip)
+
+
+@st.composite
+def _annotated_docs(draw):
+    docs = draw(st.lists(st.lists(_NON_BLANK, min_size=1, max_size=4), min_size=1, max_size=3))
+    annotations = draw(
+        st.lists(st.tuples(_NON_BLANK, st.integers(0, len(docs) - 1)), max_size=5)
+    )
+    return docs, annotations
+
+
+@given(_annotated_docs())
+# A surface held by two sentences of its document.
+@example(([["the US said", "Us again"], ["nothing"]], [("us", 0)]))
+# A surface held only by another document.
+@example(([["nothing here"], ["zed came"]], [("Zed", 0), ("zed", 1)]))
+# A substring-only hit: "us" inside "usage".
+@example(([["bus usage", "us"], ["usage"]], [("us", 0), ("US", 1)]))
+def test_provided_locator_equals_the_oracle(annotated):
+    docs, annotations = annotated
+    sentences = [
+        Sentence("c", d, j, text) for d, texts in enumerate(docs) for j, text in enumerate(texts)
+    ]
+    events: list[dict] = []
+    mentions = extract_entities_provided(
+        sentences, [EntityAnnotation(surface, doc) for surface, doc in annotations], events
+    )
+    located, dropped = provided_locator_oracle(docs, annotations)
+    assert [(m.normalized, m.doc_index, m.sent_index) for m in mentions] == located
+    assert events == [
+        {"event": "entity_dropped", "cluster_id": "c", "surface": surface, "doc": doc}
+        for surface, doc in dropped
+    ]
