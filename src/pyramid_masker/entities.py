@@ -6,7 +6,8 @@ caller-provided annotations.  Mentions sharing a normalized surface form
 are grouped into pyramid entries ranked by how many distinct documents
 contain them; entities seen in a single document are discarded because
 they carry no cross-document signal.  Where a mention is gets decided
-here alone: ``fold_text``, ``contains_mention``, ``entity_candidates``.
+here alone, over each sentence's ``words``: ``fold_words``,
+``contains_mention``, ``entity_candidates``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .segment import Sentence
+from .segment import CLOSING_PUNCT, OPENING_PUNCT, Sentence
 
 
 class EntitySource(Enum):
@@ -43,10 +44,10 @@ class PyramidEntry:
     locations: tuple[tuple[int, int], ...]
 
 
-def fold_text(text: str) -> str:
-    """Whitespace collapsed to single spaces, then case-folded: the form
-    in which entity mentions are grouped and matched."""
-    return " ".join(text.split()).casefold()
+def fold_words(words: Iterable[str]) -> str:
+    """Whitespace tokens joined by single spaces, then case-folded: the
+    form in which entity mentions are grouped and matched."""
+    return " ".join(words).casefold()
 
 
 def _is_word_char(ch: str) -> bool:
@@ -75,11 +76,11 @@ def entity_candidates(
     sentences: Sequence[Sentence], pyramid: Sequence[PyramidEntry]
 ) -> Iterator[tuple[PyramidEntry, list[Sentence]]]:
     """Each pyramid entry, in order, with the sentences (in the order
-    given) whose folded text holds its entity at token boundaries.  Each
+    given) whose folded words hold its entity at token boundaries.  Each
     sentence is folded once per call, and none for an empty pyramid."""
     if not pyramid:
         return
-    folded = [(fold_text(s.text), s) for s in sentences]
+    folded = [(fold_words(s.words), s) for s in sentences]
     for entry in pyramid:
         entity = entry.entity
         yield entry, [s for text, s in folded if entity in text and contains_mention(text, entity)]
@@ -87,10 +88,10 @@ def entity_candidates(
 
 def _mention(surface: str, doc_index: int, sent_index: int) -> EntityMention:
     # The normalized form is the folded surface, the same form as the
-    # sentence text it is matched in.
+    # sentence words it is matched in.
     return EntityMention(
         surface=surface,
-        normalized=fold_text(surface),
+        normalized=fold_words(surface.split()),
         doc_index=doc_index,
         sent_index=sent_index,
     )
@@ -116,8 +117,7 @@ _FUNCTION_WORDS = frozenset(
     """.split()
 )
 
-_TRAILING_PUNCT = ".,;:!?\"'’”)]}»›"
-_LEADING_PUNCT = "\"'‘“«‹([{"
+_TRAILING_PUNCT = ".,;:!?" + CLOSING_PUNCT
 
 _DIGIT = re.compile(r"\d")
 # Both patterns start with a character class, not a lookbehind or a
@@ -142,7 +142,7 @@ _QUANTITY_RE = re.compile(rf"{_NUMBER}\s*(?:{_UNITS})\b", re.IGNORECASE)
 # character but the ASCII ones stripping keeps: a class spanning
 # U+0080-U+10FFFF takes milliseconds to compile at import.
 _KEPT_ASCII = "".join(
-    ch for ch in map(chr, range(128)) if ch not in _TRAILING_PUNCT + _LEADING_PUNCT
+    ch for ch in map(chr, range(128)) if ch not in _TRAILING_PUNCT + OPENING_PUNCT
 )
 _TESTED_FIRSTS = re.compile(f"[^{re.escape(_KEPT_ASCII)}]")
 _CAPITALS = re.compile("[A-Z]+")
@@ -150,7 +150,7 @@ _first_char = itemgetter(0)
 
 
 def _strip_word(raw: str) -> str:
-    return raw.strip(_TRAILING_PUNCT).lstrip(_LEADING_PUNCT)
+    return raw.strip(_TRAILING_PUNCT).lstrip(OPENING_PUNCT)
 
 
 def _is_capitalized(word: str) -> bool:
@@ -216,20 +216,17 @@ def extract_entities_provided(
     """Locate caller-provided (surface, doc) annotations in the cluster.
 
     Each annotation is pinned to the first sentence of its document whose
-    folded text contains the surface's folded form.  Annotations that
-    cannot be located are dropped so one bad record does not sink the
-    cluster; each drop appends an ``entity_dropped`` event to ``events``
-    when the caller passes a list to report them from.
+    folded words contain the surface's folded form; no later sentence is
+    folded for it.  Annotations that cannot be located are dropped so one
+    bad record does not sink the cluster; each drop appends an
+    ``entity_dropped`` event to ``events`` when a list is passed.
     """
     cluster_id = sentences[0].cluster_id if sentences else ""
-    by_doc: dict[int, list[tuple[str, Sentence]]] = {ann.doc_index: [] for ann in annotations}
-    for sentence in sentences:
-        if sentence.doc_index in by_doc:
-            by_doc[sentence.doc_index].append((fold_text(sentence.text), sentence))
     mentions: list[EntityMention] = []
     for ann in annotations:
-        needle = fold_text(ann.surface)
-        hit = next((s for text, s in by_doc[ann.doc_index] if needle in text), None)
+        needle = fold_words(ann.surface.split())
+        in_doc = (s for s in sentences if s.doc_index == ann.doc_index)
+        hit = next((s for s in in_doc if needle in fold_words(s.words)), None)
         if hit is None:
             if events is not None:
                 events.append(

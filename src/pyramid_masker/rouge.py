@@ -18,10 +18,10 @@ The module-level functions are the readable reference implementations;
 ``ClusterScorer`` computes identical values and is what the pipeline
 uses.  It normalizes each sentence once, numbers the cluster's tokens
 and bigrams with integer ids and counts the n-grams of each document and
-of the whole cluster once.  Per sentence it keeps only the sentence's
-span of the cluster and, once scored, its two floats.  A sentence's
-n-gram profile -- for unigrams and for bigrams, the set of grams the
-sentence holds once and a dict of those it repeats -- is built from its
+of the whole cluster once.  Per sentence it keeps only its span of the
+cluster and, once ``cluster`` scores it, one record of both scores.  A
+sentence's n-gram profile -- for unigrams and for bigrams, the set of
+grams it holds once and a dict of those it repeats -- is built from its
 span when it is scored and then let go.  The once-grams' overlap with
 a reference is the size of a set intersection, and only the repeats are
 counted in Python.  Its integer overlaps are the reference's, and its
@@ -239,12 +239,13 @@ class ClusterScorer:
     The leave-one-out context for ``principle`` is derived from the
     totals by subtracting the sentence's own n-grams and patching the
     bigrams that straddle its edges.  ``cluster`` computes both scores
-    from one profile and memoizes both, because the selection loop
-    revisits sentences across entities and the fallback then asks for
-    the principle score of the candidates it did not pick; a sentence
+    from one profile and keeps them as one memo entry per sentence,
+    because the selection loop revisits sentences across entities and
+    the fallback then asks for the principle score of the candidates it
+    did not pick.  ``principle`` only reads that memo: a sentence
     ``cluster`` never saw gets its principle score from a profile of its
-    own.  It is built from a cluster's sentences in document order, and
-    only those sentences can be scored.
+    own, which is not kept.  The scorer is built from a cluster's
+    sentences in document order, and only those sentences can be scored.
     """
 
     def __init__(
@@ -293,8 +294,8 @@ class ClusterScorer:
         # one of these (bigrams at the sentence's seams aside).
         self._shared_uni = _repeated_keys(self._total_uni)
         self._shared_bi = _repeated_keys(self._total_bi)
-        self._cluster_cache: dict[tuple[int, int], float] = {}
-        self._principle_cache: dict[tuple[int, int], float] = {}
+        # key -> (cluster score, principle score), filled by ``cluster``.
+        self._scores: dict[tuple[int, int], tuple[float, float]] = {}
 
     def _combine(self, r1: float, r2: float) -> float:
         if self.variant is SalienceVariant.R1_F1:
@@ -357,18 +358,17 @@ class ClusterScorer:
         )
 
     def principle(self, sentence: Sentence) -> float:
-        key = sentence.key
-        cached = self._principle_cache.get(key)
-        if cached is not None:
-            return cached
-        start, end = self._spans[key]
+        scored = self._scores.get(sentence.key)
+        if scored is not None:
+            return scored[1]
+        start, end = self._spans[sentence.key]
         return self._principle(start, end, self._profile(start, end))
 
     def cluster(self, sentence: Sentence) -> float:
         key = sentence.key
-        cached = self._cluster_cache.get(key)
-        if cached is not None:
-            return cached
+        scored = self._scores.get(key)
+        if scored is not None:
+            return scored[0]
         start, end = self._spans[key]
         n = end - start
         n_bi = max(0, n - 1)
@@ -385,6 +385,5 @@ class ClusterScorer:
             if repeated_bi is not None:
                 ov2 += _clipped(repeated_bi, bi)
             total += self._combine(_overlap_f1(ov1, n, doc_len), _overlap_f1(ov2, n_bi, doc_bi_len))
-        self._cluster_cache[key] = total
-        self._principle_cache[key] = self._principle(start, end, profile)
+        self._scores[key] = (total, self._principle(start, end, profile))
         return total

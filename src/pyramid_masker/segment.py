@@ -10,7 +10,7 @@ Normalization is what the ROUGE scorer counts n-grams of: lowercase,
 punctuation replaced by spaces, whitespace split, Porter stemming.  Each
 stage is independently switchable via ``NormalizationConfig``.  The
 scorer normalizes the text of the sentences it scores, and ``entities``
-folds the text it finds mentions in; segmentation only splits.
+folds the words it finds mentions in; segmentation only splits.
 """
 
 from __future__ import annotations
@@ -127,9 +127,12 @@ def load_abbreviations(path) -> frozenset[str]:
         return _parse_abbreviation_lines(fh)
 
 
+# The quotes and brackets that open and close a stretch of text: a
+# terminator run may carry closers, and ``entities`` strips both.
+OPENING_PUNCT = "\"'([{‘“«‹"
+CLOSING_PUNCT = "\"'’”)]}»›"
 # A terminator run (group 1) plus any closing quotes/brackets attached to it.
-_TERMINATOR_RUN = re.compile(r"([.?!]+)[\"'’”)\]}»›]*")
-_OPENING_PUNCT = "\"'([{‘“«‹"
+_TERMINATOR_RUN = re.compile(rf"([.?!]+)[{re.escape(CLOSING_PUNCT)}]*")
 # ``\S`` is the complement of ``str.isspace``, the test ``str.strip`` uses.
 _NON_SPACE = re.compile(r"\S")
 
@@ -139,7 +142,7 @@ def _is_abbreviation(text: str, dot_pos: int, abbreviations: frozenset[str]) -> 
     start = dot_pos
     while start > 0 and not text[start - 1].isspace():
         start -= 1
-    word = text[start : dot_pos + 1].lstrip(_OPENING_PUNCT)
+    word = text[start : dot_pos + 1].lstrip(OPENING_PUNCT)
     return word.lower() in abbreviations
 
 

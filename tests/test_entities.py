@@ -28,7 +28,7 @@ from pyramid_masker.entities import (
     entity_candidates,
     extract_entities_provided,
     extract_entities_rules,
-    fold_text,
+    fold_words,
 )
 from pyramid_masker.segment import Sentence, split_sentences
 
@@ -244,9 +244,9 @@ def test_pyramid_frequencies_match_brute_force(seed):
     assert by_freq == sorted(by_freq, reverse=True)
 
 
-def test_fold_text():
-    assert fold_text("  Grand   Junction ") == "grand junction"
-    assert fold_text("COLORADO") == "colorado"
+def test_fold_words():
+    assert fold_words("  Grand   Junction ".split()) == "grand junction"
+    assert fold_words(["COLORADO"]) == "colorado"
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ _CANDIDATE_PIECES = [
     st.lists(st.lists(st.sampled_from(_CANDIDATE_PIECES), max_size=8).map("".join), max_size=6),
     st.lists(
         st.lists(st.sampled_from(_CANDIDATE_PIECES), min_size=1, max_size=3).map(
-            lambda pieces: fold_text("".join(pieces))
+            lambda pieces: fold_words("".join(pieces).split())
         ),
         max_size=5,
     ),
@@ -339,26 +339,66 @@ def test_entity_candidates_equal_the_oracle_filter(texts, entity_forms):
 
 def test_entity_candidates_fold_each_sentence_once(monkeypatch):
     folded = []
-    fold = entities.fold_text
+    fold = entities.fold_words
 
-    def counted(text):
-        folded.append(text)
-        return fold(text)
+    def counted(words):
+        folded.append(words)
+        return fold(words)
 
-    monkeypatch.setattr(entities, "fold_text", counted)
+    monkeypatch.setattr(entities, "fold_words", counted)
     sentences = split_sentences("Colorado burned. Crews fled Colorado. Rain came.", 0)
     pyramid = [PyramidEntry(entity, 2, ()) for entity in ("colorado", "crews", "rain came")]
     yielded = list(entity_candidates(sentences, pyramid))
     keys = [[s.key for s in candidates] for _, candidates in yielded]
     assert keys == [[(0, 0), (0, 1)], [(0, 1)], [(0, 2)]]
-    assert folded == [s.text for s in sentences]
+    assert folded == [s.words for s in sentences]
+
+
+def test_provided_locator_folds_words_up_to_each_hit(monkeypatch):
+    """Each annotation folds its document's sentences, as ``s.words``, up
+    to the one it is pinned to; a document no annotation names is never
+    folded."""
+    folded = []
+    fold = entities.fold_words
+
+    def counted(words):
+        folded.append(words)
+        return fold(words)
+
+    monkeypatch.setattr(entities, "fold_words", counted)
+    cluster = DocumentCluster(
+        "c",
+        (
+            "Alpha came. Beta went. Gamma stayed.",
+            "Beta returned. Alpha left. Delta rose.",
+            "Nothing here.",
+        ),
+        entity_annotations=tuple(
+            EntityAnnotation(surface, doc)
+            for surface, doc in (("Alpha", 0), ("beta", 1), ("DELTA", 1), ("Omega", 0))
+        ),
+    )
+    sentences = segment_cluster(cluster)
+    mentions = extract_entities_provided(sentences, cluster.entity_annotations, [])
+    assert [(m.normalized, m.doc_index, m.sent_index) for m in mentions] == [
+        ("alpha", 0, 0), ("beta", 1, 0), ("delta", 1, 2),
+    ]
+    surfaces = [ann.surface.split() for ann in cluster.entity_annotations]
+    folded_sentences = []
+    for words in folded:
+        owners = [s for s in sentences if words is s.words]
+        if owners:
+            folded_sentences.append(owners[0].key)
+        else:
+            assert words in surfaces
+    assert folded_sentences == [(0, 0), (1, 0), (1, 0), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)]
 
 
 def test_empty_pyramid_folds_nothing(monkeypatch):
-    def refuse(text):
-        raise AssertionError("fold_text called for an empty pyramid")
+    def refuse(words):
+        raise AssertionError("fold_words called for an empty pyramid")
 
-    monkeypatch.setattr(entities, "fold_text", refuse)
+    monkeypatch.setattr(entities, "fold_words", refuse)
     assert list(entity_candidates(split_sentences("Colorado burned.", 0), [])) == []
 
 

@@ -14,7 +14,7 @@ import pyramid_masker
 from pyramid_masker.segment import Sentence
 
 PACKAGE = Path(pyramid_masker.__file__).parent
-MENTION_RULE = {"fold_text", "contains_mention"}
+MENTION_RULE = {"fold_words", "contains_mention"}
 
 
 def _tree(name: str) -> ast.Module:

@@ -323,10 +323,10 @@ def test_non_scoring_strategies_never_normalize(strategy, monkeypatch):
     """Neither the scoring tokens nor the folded text is ever built."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("normalize_tokens or fold_text called")
+        raise AssertionError("normalize_tokens or fold_words called")
 
     monkeypatch.setattr(rouge, "normalize_tokens", refuse)
-    monkeypatch.setattr(entities, "fold_text", refuse)
+    monkeypatch.setattr(entities, "fold_words", refuse)
     config = PipelineConfig(selection=SelectionConfig(strategy=strategy))
     report, _, _ = drive(make_corpus(4, seed=5), config)
     assert report.processed == 4

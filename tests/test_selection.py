@@ -21,7 +21,7 @@ from pyramid_masker import (
     select_sentences,
     truncate_per_document,
 )
-from pyramid_masker.entities import fold_text
+from pyramid_masker.entities import fold_words
 from pyramid_masker.segment import Sentence
 from pyramid_masker.selection import (
     select_entity_pyramid,
@@ -227,7 +227,7 @@ def test_entity_match_respects_token_boundaries():
         ("us", ["usage grows quickly here", "the bus left early"], "they warned us yesterday"),
         ("zed", ["zedd and the zeds came", "amazed crowds cheered"], "we met zed, then left"),
         ("u.s.", ["the uxsy team lost", "the u.s.a. team lost"], "the u.s. team won"),
-        (fold_text("Straße"), ["strassen were closed"], "they closed the STRASSE today"),
+        (fold_words(["Straße"]), ["strassen were closed"], "they closed the STRASSE today"),
     ]
     for entity, near_misses, mention in cases:
         misses = [sent(0, i, text) for i, text in enumerate(near_misses)]
