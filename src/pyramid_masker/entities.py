@@ -238,7 +238,7 @@ def extract_entities_provided(
                     }
                 )
             continue
-        mentions.append(_mention(ann.surface, hit.doc_index, hit.sent_index))
+        mentions.append(EntityMention(ann.surface, needle, hit.doc_index, hit.sent_index))
     return mentions
 
 

@@ -383,15 +383,17 @@ def test_provided_locator_folds_words_up_to_each_hit(monkeypatch):
     assert [(m.normalized, m.doc_index, m.sent_index) for m in mentions] == [
         ("alpha", 0, 0), ("beta", 1, 0), ("delta", 1, 2),
     ]
-    surfaces = [ann.surface.split() for ann in cluster.entity_annotations]
-    folded_sentences = []
+    calls = []
     for words in folded:
-        owners = [s for s in sentences if words is s.words]
-        if owners:
-            folded_sentences.append(owners[0].key)
-        else:
-            assert words in surfaces
-    assert folded_sentences == [(0, 0), (1, 0), (1, 0), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2)]
+        owners = [s.key for s in sentences if words is s.words]
+        calls.append(owners[0] if owners else words)
+    # Each surface is folded once, then its document up to its hit.
+    assert calls == [
+        ["Alpha"], (0, 0),
+        ["beta"], (1, 0),
+        ["DELTA"], (1, 0), (1, 1), (1, 2),
+        ["Omega"], (0, 0), (0, 1), (0, 2),
+    ]
 
 
 def test_empty_pyramid_folds_nothing(monkeypatch):
