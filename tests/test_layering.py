@@ -2,7 +2,8 @@
 
 These read the package source: only ``entities.py`` may define or name
 the folded form and the boundary rule, and a ``Sentence`` carries no
-folded text of its own.
+folded text of its own.  No module keeps an import or a private
+module-level name that it never reads.
 """
 
 from __future__ import annotations
@@ -58,3 +59,34 @@ def test_sentence_has_no_folded_text():
             if isinstance(node, ast.Attribute) and node.attr == "folded"
         ]
         assert reads == [], path.name
+
+
+
+
+def _unread(tree: ast.Module) -> set[str]:
+    """The imported names and module-level private names (``_x``) that
+    ``tree`` never reads as a name."""
+    kept = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            kept.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend(target.id for target in targets if isinstance(target, ast.Name))
+    kept.update(name for name in defined if name.startswith("_"))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return kept - read
+
+def test_no_module_keeps_an_unread_name():
+    modules = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert "rouge.py" in modules
+    assert {name: _unread(_tree(name)) for name in modules} == dict.fromkeys(modules, set())

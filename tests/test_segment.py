@@ -172,7 +172,13 @@ def documents(draw):
     return " ".join(p + t for p, t in zip(parts, terminators))
 
 
+# The tail after the last boundary: none, whitespace only, an unterminated
+# sentence, and a final abbreviation that is not a boundary.
 @given(documents())
+@example("One. Two.")
+@example("One. Two.  \n")
+@example("One. two")
+@example("We met in the U.S.")
 def test_split_is_lossless_up_to_whitespace(document):
     sentences = split_sentences(document, 0)
     rebuilt = " ".join(s.text for s in sentences)
@@ -189,6 +195,10 @@ def test_split_deterministic(document):
 @given(st.text(max_size=80))
 @example(".\x1f0")
 @example("a.\nb")
+@example("One. Two.")
+@example("One. Two.  \n")
+@example("One. two")
+@example("We met in the U.S.")
 def test_split_never_drops_content(document):
     # The splitter treats every str.isspace() character as whitespace,
     # so only those may go missing; every other character must survive.
