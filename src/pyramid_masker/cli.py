@@ -217,7 +217,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         clusters = load_clusters(source, strict=args.strict, on_error=_record_error)
         stats = compute_corpus_stats(clusters)
     print(json.dumps(stats.to_json_dict()))
-    return 0
+    return 0 if stats.example_count else 2
 
 
 def cmd_score_sentence(args: argparse.Namespace) -> int:

@@ -94,9 +94,9 @@ def example_to_record(example: MaskedExample, emit_text: bool = False) -> dict:
         }
     record: dict = {
         "cluster_id": example.cluster_id,
-        "input": list(example.input_tokens),
-        "global_attention": list(example.global_attention_indices),
-        "target": list(example.target_tokens),
+        "input": example.input_tokens,
+        "global_attention": example.global_attention_indices,
+        "target": example.target_tokens,
         "meta": meta,
     }
     if emit_text:

@@ -14,19 +14,10 @@ Two salience scores rank sentences within a cluster:
   except the sentence's own, which rewards content repeated across
   documents rather than merely long sentences.
 
-The module-level functions are the readable reference implementations;
-``ClusterScorer`` computes identical values and is what the pipeline
-uses.  It normalizes each sentence once, numbers the cluster's tokens
-and bigrams with integer ids and counts the n-grams of each document and
-of the whole cluster once.  Per sentence it keeps only its span of the
-cluster and, once ``cluster`` scores it, one record of both scores.  A
-sentence's n-gram profile -- for unigrams and for bigrams, the set of
-grams it holds once and a dict of those it repeats -- is built from its
-span when it is scored and then let go.  The once-grams' overlap with
-a reference is the size of a set intersection, and only the repeats are
-counted in Python.  Its integer overlaps are the reference's, and its
-float operations run in the same order, so its scores equal the
-reference's exactly.
+The module-level functions are the readable reference implementations.
+``ClusterScorer``, which the pipeline uses, scores the sentences of one
+cluster from counts it builds once, and its scores equal the
+reference's exactly; its docstring says how.
 """
 
 from __future__ import annotations
@@ -76,17 +67,15 @@ def _f1(precision: float, recall: float) -> float:
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     if n == 1:
         return Counter(tokens)
-    if n == 2:
-        return Counter(zip(tokens, tokens[1:]))
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _once_and_repeated(grams: Sequence[int]) -> tuple[set[int], dict[int, int] | None]:
+def _once_and_repeated(grams: Sequence[int]) -> tuple[set[int], dict[int, int]]:
     """Split one sentence's n-gram ids into the set of those that occur
-    once and a dict counting those that repeat (None when none does)."""
+    once and a dict counting those that repeat."""
     once = set(grams)
     if len(once) == len(grams):
-        return once, None
+        return once, {}
     seen: set = set()
     repeated: set = set()
     for gram in grams:
@@ -96,6 +85,15 @@ def _once_and_repeated(grams: Sequence[int]) -> tuple[set[int], dict[int, int] |
             seen.add(gram)
     once -= repeated
     return once, {gram: grams.count(gram) for gram in repeated}
+
+
+def _combine(variant: SalienceVariant, r1: float, r2: float) -> float:
+    """The salience of a ROUGE-1 and a ROUGE-2 F1 under ``variant``."""
+    if variant is SalienceVariant.R1_F1:
+        return r1
+    if variant is SalienceVariant.R2_F1:
+        return r2
+    return (r1 + r2) / 2.0
 
 
 def _repeated_keys(counts: dict) -> set:
@@ -171,13 +169,7 @@ def salience(
     variant: SalienceVariant = DEFAULT_VARIANT,
 ) -> float:
     """The scalar used to rank sentences, under the configured variant."""
-    if variant is SalienceVariant.R1_F1:
-        return rouge_n(candidate, reference, 1).f1
-    if variant is SalienceVariant.R2_F1:
-        return rouge_n(candidate, reference, 2).f1
-    r1 = rouge_n(candidate, reference, 1).f1
-    r2 = rouge_n(candidate, reference, 2).f1
-    return (r1 + r2) / 2.0
+    return _combine(variant, rouge_n(candidate, reference, 1).f1, rouge_n(candidate, reference, 2).f1)
 
 
 def principle_score(
@@ -225,16 +217,18 @@ class ClusterScorer:
     functions without re-walking the cluster for every sentence.
 
     Each sentence's text is normalized under ``normalization`` once,
-    as the scorer numbers the cluster's tokens, and per-document and
-    whole-cluster n-gram counters are built once.  Per sentence the
-    scorer keeps its [start, end) span of the cluster's tokens and,
-    once scored, its two floats -- never its n-grams.  A sentence's
-    n-gram profile is built from its span when it is scored:
-    for unigrams and for bigrams, the set of grams the sentence has once
-    and a dict of those it repeats.  A once-gram's clipped overlap with
+    as the scorer numbers the cluster's tokens and bigrams with integer
+    ids, and per-document and whole-cluster n-gram counters are built
+    once.  Per sentence the scorer keeps its [start, end) span of the
+    cluster's tokens and, once scored, its two floats -- never its
+    n-grams.  A sentence's n-gram profile is built from its span when it
+    is scored: for unigrams and for bigrams, the set of grams the
+    sentence has once and a dict of those it repeats.  A once-gram's clipped overlap with
     a reference is 1 exactly when the reference has it, so that part of
     an overlap is the size of a set intersection, and only the repeats
-    are counted gram by gram.
+    are counted gram by gram.  These integer overlaps are the reference
+    functions', and the float operations on them run in the same order,
+    so the scores equal the reference's exactly.
 
     The leave-one-out context for ``principle`` is derived from the
     totals by subtracting the sentence's own n-grams and patching the
@@ -297,13 +291,6 @@ class ClusterScorer:
         # key -> (cluster score, principle score), filled by ``cluster``.
         self._scores: dict[tuple[int, int], tuple[float, float]] = {}
 
-    def _combine(self, r1: float, r2: float) -> float:
-        if self.variant is SalienceVariant.R1_F1:
-            return r1
-        if self.variant is SalienceVariant.R2_F1:
-            return r2
-        return (r1 + r2) / 2.0
-
     def _profile(self, start: int, end: int) -> tuple:
         """The n-gram profile of the tokens in [start, end): the once-set
         and repeat dict of their unigrams, then of their bigrams."""
@@ -318,12 +305,11 @@ class ClusterScorer:
         ctx_len = self._total_len - n
 
         ov1 = len(once_uni & self._shared_uni)
-        if repeated_uni is not None:
-            total_uni = self._total_uni
-            for gram, count in repeated_uni.items():
-                ctx = total_uni[gram] - count
-                if ctx > 0:
-                    ov1 += count if count < ctx else ctx
+        total_uni = self._total_uni
+        for gram, count in repeated_uni.items():
+            ctx = total_uni[gram] - count
+            if ctx > 0:
+                ov1 += count if count < ctx else ctx
 
         # Bigrams straddling the removed sentence: two vanish from the
         # context, one new seam bigram appears.
@@ -347,15 +333,13 @@ class ClusterScorer:
                 # The intersection counted the gram as if unshifted.
                 ctx = total_bi[gram] - 1
                 ov2 += (ctx + shift > 0) - (ctx > 0)
-        if repeated_bi is not None:
-            for gram, count in repeated_bi.items():
-                ctx = total_bi[gram] - count + seam.get(gram, 0)
-                if ctx > 0:
-                    ov2 += count if count < ctx else ctx
+        for gram, count in repeated_bi.items():
+            ctx = total_bi[gram] - count + seam.get(gram, 0)
+            if ctx > 0:
+                ov2 += count if count < ctx else ctx
 
-        return self._combine(
-            _overlap_f1(ov1, n, ctx_len), _overlap_f1(ov2, max(0, n - 1), max(0, ctx_len - 1))
-        )
+        r1 = _overlap_f1(ov1, n, ctx_len)
+        return _combine(self.variant, r1, _overlap_f1(ov2, max(0, n - 1), max(0, ctx_len - 1)))
 
     def principle(self, sentence: Sentence) -> float:
         scored = self._scores.get(sentence.key)
@@ -374,16 +358,13 @@ class ClusterScorer:
         n_bi = max(0, n - 1)
         profile = self._profile(start, end)
         once_uni, repeated_uni, once_bi, repeated_bi = profile
+        variant = self.variant
         total = 0.0
         for doc_index, uni, uni_keys, bi, bi_keys, doc_len, doc_bi_len in self._docs:
             if doc_index == sentence.doc_index:
                 continue
-            ov1 = len(once_uni & uni_keys)
-            if repeated_uni is not None:
-                ov1 += _clipped(repeated_uni, uni)
-            ov2 = len(once_bi & bi_keys)
-            if repeated_bi is not None:
-                ov2 += _clipped(repeated_bi, bi)
-            total += self._combine(_overlap_f1(ov1, n, doc_len), _overlap_f1(ov2, n_bi, doc_bi_len))
+            ov1 = len(once_uni & uni_keys) + _clipped(repeated_uni, uni)
+            ov2 = len(once_bi & bi_keys) + _clipped(repeated_bi, bi)
+            total += _combine(variant, _overlap_f1(ov1, n, doc_len), _overlap_f1(ov2, n_bi, doc_bi_len))
         self._scores[key] = (total, self._principle(start, end, profile))
         return total

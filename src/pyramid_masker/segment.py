@@ -180,20 +180,11 @@ def split_sentences(
     if abbreviations is None:
         abbreviations = default_abbreviations()
     ends = _boundaries(document, abbreviations)
-    spans = []
-    start = 0
-    for end in ends:
-        spans.append(document[start:end])
-        start = end
-    if start < len(document):
-        spans.append(document[start:])
-
     sentences = []
-    for span in spans:
-        text = span.strip()
-        if not text:
-            continue
-        sentences.append(Sentence(cluster_id, doc_index, len(sentences), text))
+    for start, end in zip([0, *ends], [*ends, len(document)]):
+        text = document[start:end].strip()
+        if text:
+            sentences.append(Sentence(cluster_id, doc_index, len(sentences), text))
     return sentences
 
 

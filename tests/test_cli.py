@@ -466,6 +466,17 @@ def test_stats_reports_bad_lines(tmp_path, capsys):
     assert events_of(captured.err)[0]["event"] == "record_error"
 
 
+@pytest.mark.parametrize("text", ["", "{broken\n[1, 2]\n"], ids=["empty", "only-bad-lines"])
+def test_stats_without_clusters_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text)
+    code = main(["stats", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"example_count": 0}
+    assert [e["event"] for e in events_of(captured.err)] == ["record_error"] * text.count("\n")
+
+
 def test_stats_strict_is_fatal(tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     path.write_text("{broken\n")
