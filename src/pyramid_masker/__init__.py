@@ -31,13 +31,7 @@ from .mask import (
     truncate_per_document,
 )
 from .pipeline import PipelineConfig, process_cluster, run_mask
-from .pyr_eval import (
-    CoverageAggregation,
-    LengthUnit,
-    PyramidScore,
-    ScuAnnotation,
-    pyramid_score,
-)
+from .pyr_eval import CoverageAggregation, LengthUnit, PyramidScore
 from .rouge import (
     ClusterScorer,
     RougeScore,
@@ -88,7 +82,6 @@ __all__ = [
     "RougeScore",
     "RoundtripResult",
     "SalienceVariant",
-    "ScuAnnotation",
     "SelectionConfig",
     "SelectionResult",
     "Sentence",
@@ -105,7 +98,6 @@ __all__ = [
     "normalize_tokens",
     "principle_score",
     "process_cluster",
-    "pyramid_score",
     "rouge_l",
     "rouge_n",
     "roundtrip_check",

@@ -149,7 +149,7 @@ def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorpusError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CorpusError(f"config file {path} must hold a JSON object")
@@ -214,7 +214,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
-        clusters = load_clusters(source, strict=args.strict, on_error=_record_error)
+        clusters = load_clusters(source, None if args.strict else _record_error)
         stats = compute_corpus_stats(clusters)
     print(json.dumps(stats.to_json_dict()))
     return 0 if stats.example_count else 2
@@ -261,7 +261,7 @@ def cmd_eval_pyramid(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         source = _open_source(args.input, stack)
         parse = partial(record_score, aggregation=aggregation, len_unit=len_unit)
-        scored = list(read_records(source, parse, args.strict, _record_error))
+        scored = list(read_records(source, parse, None if args.strict else _record_error))
     results = [{"summary_id": summary_id, **asdict(score)} for summary_id, score in scored]
     mean = mean_score(score for _, score in scored)
     print(json.dumps({"summaries": results, "mean": asdict(mean) if mean else None}))

@@ -8,9 +8,9 @@ Input is UTF-8 JSONL, one cluster per line:
     }
 
 ``read_records`` reads every JSONL input of the package.  A malformed
-line never kills a run by default: it is a ``RecordError`` with its line
-number and the reader moves on.  Strict mode promotes the first bad
-record to a fatal ``CorpusError``.  Clusters are read one at a time, but
+line is a ``RecordError`` with its line number: a caller's ``on_error``
+receives each one and the reader moves on; with no ``on_error`` the
+first raises ``CorpusError``.  Clusters are read one at a time, but
 the loader keeps every cluster id it has seen to reject duplicates, so
 its memory grows with the number of distinct ids in the corpus.
 """
@@ -26,7 +26,7 @@ T = TypeVar("T")
 
 
 class CorpusError(ValueError):
-    """Fatal corpus problem (strict mode or unusable source)."""
+    """Fatal corpus problem (a bad record with no handler, or an unusable source)."""
 
 
 @dataclass(frozen=True)
@@ -111,29 +111,17 @@ def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
     return cluster
 
 
-def _log_record_error(error: RecordError) -> None:
-    """The default ``on_error``: a warning on this module's logger.
-    ``logging`` is imported here because only a caller that passes no
-    handler ever needs it."""
-    import logging
-
-    logging.getLogger(__name__).warning("skipping record: %s", error)
-
-
 def read_records(
     stream: IO[bytes],
     parse: Callable[[dict], T],
-    strict: bool = False,
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[T]:
     """Yield ``parse(record)`` for each record of a binary JSONL stream,
     in file order.  Blank lines are ignored.  A line that is not UTF-8,
-    not JSON or not an object, or that ``parse`` rejects with
-    ``ValueError``, is reported through ``on_error`` (default: a log
-    warning) unless ``strict``, which raises ``CorpusError`` at the first.
+    not JSON, nested too deep to decode or not an object, or that
+    ``parse`` rejects with ``ValueError``, goes to ``on_error`` as a
+    ``RecordError``; with no ``on_error`` the first raises ``CorpusError``.
     """
-    if on_error is None:
-        on_error = _log_record_error
     for line_number, raw in enumerate(stream, 1):
         if not raw.strip():
             continue
@@ -142,10 +130,10 @@ def read_records(
             if not isinstance(record, dict):
                 raise ValueError("record is not a JSON object")
             item = parse(record)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             reason = f"invalid UTF-8: {exc}" if isinstance(exc, UnicodeDecodeError) else str(exc)
             error = RecordError(line_number, reason)
-            if strict:
+            if on_error is None:
                 raise CorpusError(str(error)) from exc
             on_error(error)
             continue
@@ -154,12 +142,11 @@ def read_records(
 
 def load_clusters(
     stream: IO[bytes],
-    strict: bool = False,
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[DocumentCluster]:
     """Yield clusters from a binary JSONL stream, in file order, through
     ``read_records``; a cluster whose id was seen before is a bad record."""
-    return read_records(stream, partial(_parse_record, seen_ids=set()), strict, on_error)
+    return read_records(stream, partial(_parse_record, seen_ids=set()), on_error)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,6 @@ class LengthUnit(Enum):
 
 
 @dataclass(frozen=True)
-class ScuAnnotation:
-    scu_id: str
-    weight: int
-    covered: bool
-
-    def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ValueError(f"SCU weight must be at least 1, got {self.weight}")
-
-
-@dataclass(frozen=True)
 class PyramidScore:
     raw: float
     recall: float
@@ -72,16 +61,6 @@ def weighted_coverage_score(
     else:
         f1 = 2.0 * recall * precision / (recall + precision)
     return PyramidScore(raw=raw, recall=recall, precision=precision, f1=f1)
-
-
-def pyramid_score(
-    scus: Sequence[ScuAnnotation],
-    gold_len: int,
-    sys_len: int,
-) -> PyramidScore:
-    """Score a summary from boolean per-unit coverage."""
-    units = [(float(s.weight), 1.0 if s.covered else 0.0) for s in scus]
-    return weighted_coverage_score(units, gold_len, sys_len)
 
 
 def aggregate_coverage(

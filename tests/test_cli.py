@@ -402,6 +402,7 @@ def test_attention_window_flag_is_gone(capsys):
         ('{"seed": 1.9}', "'seed'"),
         ('{"attention_window": 512}', "unknown config key 'attention_window'"),
         ('{"seed": 1', "not valid JSON"),
+        pytest.param("[" * 100_000, "not valid JSON", id="nested"),
     ],
 )
 def test_bad_config_file_value_is_fatal(corpus_path, tmp_path, capsys, text, named):
@@ -731,7 +732,9 @@ VALID_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("bad", [b"not json", b"[1,2]", b"\xff"], ids=["text", "array", "utf8"])
+@pytest.mark.parametrize(
+    "bad", [b"not json", b"[1,2]", b"\xff", b"[" * 100_000], ids=["text", "array", "utf8", "nested"]
+)
 @pytest.mark.parametrize("command", list(VALID_RECORDS))
 def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, command, bad):
     """A bad first line is skipped as one record_error on line 1; the
@@ -792,8 +795,8 @@ def test_stats_interrupt_is_fatal(corpus_path, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # start-up cost
 
-# Modules that only a process pool, the random strategy or the default
-# record-error log needs.
+# Modules that only a process pool or the random strategy needs;
+# ``logging`` is one that the package never imports.
 LOADED_ONLY_WHEN_USED = (
     "concurrent.futures",
     "concurrent.futures.process",

@@ -142,22 +142,16 @@ def test_duplicate_cluster_id_skipped():
     assert "duplicate" in errors[0].reason and errors[0].line_number == 2
 
 
-def test_default_error_handler_logs(caplog):
-    with caplog.at_level("WARNING", logger="pyramid_masker.ingest"):
-        list(load_clusters(jsonl("{broken")))
-    assert any("skipping record" in r.message for r in caplog.records)
-
-
 def test_strict_mode_raises_with_line_number():
     good = {"cluster_id": "ok", "documents": ["x"]}
     with pytest.raises(CorpusError, match="line 2"):
-        list(load_clusters(jsonl(good, "{broken"), strict=True))
+        list(load_clusters(jsonl(good, "{broken")))
 
 
 def test_strict_mode_covers_duplicates():
     a = {"cluster_id": "a", "documents": ["x"]}
     with pytest.raises(CorpusError, match="duplicate"):
-        list(load_clusters(jsonl(a, a), strict=True))
+        list(load_clusters(jsonl(a, a)))
 
 
 def test_read_records_reports_what_parse_rejects():
@@ -173,7 +167,7 @@ def test_read_records_reports_what_parse_rejects():
     assert errors[0].event() == {"event": "record_error", "line": 2, "reason": "negative"}
     assert errors[1].reason.startswith("invalid UTF-8: ")
     with pytest.raises(CorpusError, match="^line 2: negative$"):
-        list(read_records(jsonl({"n": 1}, {"n": -1}), parse, strict=True))
+        list(read_records(jsonl({"n": 1}, {"n": -1}), parse))
 
 
 def test_loader_is_lazy():

@@ -3,7 +3,8 @@
 These read the package source: only ``entities.py`` may define or name
 the folded form and the boundary rule, and a ``Sentence`` carries no
 folded text of its own.  No module keeps an import or a private
-module-level name that it never reads.
+module-level name that it never reads.  The package's ``__all__`` is
+sorted and names exactly what ``__init__.py`` imports.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def test_sentence_has_no_folded_text():
         assert reads == [], path.name
 
 
-
-
 def _unread(tree: ast.Module) -> set[str]:
     """The imported names and module-level private names (``_x``) that
     ``tree`` never reads as a name."""
@@ -86,7 +85,19 @@ def _unread(tree: ast.Module) -> set[str]:
     }
     return kept - read
 
+
 def test_no_module_keeps_an_unread_name():
     modules = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     assert "rouge.py" in modules
     assert {name: _unread(_tree(name)) for name in modules} == dict.fromkeys(modules, set())
+
+
+def test_all_lists_exactly_what_init_imports():
+    imported = [
+        alias.asname or alias.name
+        for node in _tree("__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert pyramid_masker.__all__ == sorted(pyramid_masker.__all__)
+    assert sorted(imported) == pyramid_masker.__all__

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from pyramid_masker import (
-    CoverageAggregation,
-    LengthUnit,
-    PyramidScore,
-    ScuAnnotation,
-    pyramid_score,
-)
+from pyramid_masker import CoverageAggregation, LengthUnit, PyramidScore
 from pyramid_masker.pyr_eval import (
     aggregate_coverage,
     mean_score,
@@ -23,12 +17,8 @@ from oracles import pyramid_arithmetic_oracle
 
 
 def test_worked_example():
-    scus = [
-        ScuAnnotation("s1", 3, True),
-        ScuAnnotation("s2", 2, False),
-        ScuAnnotation("s3", 1, True),
-    ]
-    score = pyramid_score(scus, gold_len=100, sys_len=80)
+    units = [(3.0, 1.0), (2.0, 0.0), (1.0, 1.0)]
+    score = weighted_coverage_score(units, gold_len=100, sys_len=80)
     assert score.raw == 4.0
     assert score.recall == pytest.approx(0.04)
     assert score.precision == pytest.approx(0.05)
@@ -36,39 +26,30 @@ def test_worked_example():
 
 
 def test_nothing_covered_is_all_zero():
-    scus = [ScuAnnotation("s1", 3, False), ScuAnnotation("s2", 1, False)]
-    score = pyramid_score(scus, 50, 50)
+    score = weighted_coverage_score([(3.0, 0.0), (1.0, 0.0)], 50, 50)
     assert score == PyramidScore(0.0, 0.0, 0.0, 0.0)
 
 
 def test_full_coverage_equal_lengths():
-    scus = [ScuAnnotation("s1", 2, True), ScuAnnotation("s2", 2, True)]
-    score = pyramid_score(scus, 40, 40)
+    score = weighted_coverage_score([(2.0, 1.0), (2.0, 1.0)], 40, 40)
     assert score.recall == score.precision == 0.1
     assert score.f1 == pytest.approx(0.1)
 
 
 def test_covering_more_units_never_hurts():
-    base = [ScuAnnotation("a", 3, True), ScuAnnotation("b", 2, False)]
-    more = [ScuAnnotation("a", 3, True), ScuAnnotation("b", 2, True)]
-    low = pyramid_score(base, 60, 30)
-    high = pyramid_score(more, 60, 30)
+    low = weighted_coverage_score([(3.0, 1.0), (2.0, 0.0)], 60, 30)
+    high = weighted_coverage_score([(3.0, 1.0), (2.0, 1.0)], 60, 30)
     assert high.raw > low.raw
     assert high.recall > low.recall
     assert high.f1 > low.f1
 
 
 def test_longer_system_summary_halves_precision():
-    scus = [ScuAnnotation("a", 4, True)]
-    short = pyramid_score(scus, 100, 40)
-    long = pyramid_score(scus, 100, 80)
+    units = [(4.0, 1.0)]
+    short = weighted_coverage_score(units, 100, 40)
+    long = weighted_coverage_score(units, 100, 80)
     assert long.precision == pytest.approx(short.precision / 2)
     assert long.recall == short.recall
-
-
-def test_weight_validation():
-    with pytest.raises(ValueError):
-        ScuAnnotation("bad", 0, True)
 
 
 def test_length_validation():
