@@ -36,11 +36,8 @@ from .rouge import (
     ClusterScorer,
     RougeScore,
     SalienceVariant,
-    cluster_rouge,
-    principle_score,
     rouge_l,
     rouge_n,
-    salience,
 )
 from .segment import (
     NormalizationConfig,
@@ -89,20 +86,17 @@ __all__ = [
     "Strategy",
     "build_masked_example",
     "build_pyramid",
-    "cluster_rouge",
     "compute_copy_count",
     "compute_corpus_stats",
     "compute_mask_count",
     "extract_entities",
     "load_clusters",
     "normalize_tokens",
-    "principle_score",
     "process_cluster",
     "rouge_l",
     "rouge_n",
     "roundtrip_check",
     "run_mask",
-    "salience",
     "segment_cluster",
     "select_sentences",
     "split_sentences",

@@ -39,7 +39,9 @@ from operator import not_
 from typing import IO, Iterable
 
 from .entities import EntitySource
-from .ingest import CorpusError, RecordError, compute_corpus_stats, load_clusters, read_records
+from .ingest import (
+    LONE_SURROGATE, CorpusError, RecordError, compute_corpus_stats, load_clusters, read_records,
+)
 from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
 from .pyr_eval import CoverageAggregation, LengthUnit, mean_score, record_score
@@ -160,6 +162,8 @@ def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
             raise CorpusError(f"unknown config key {key!r} in {path}")
         if isinstance(value, (dict, list)):
             raise CorpusError(f"config key {key!r} must be a scalar")
+        if isinstance(value, str) and LONE_SURROGATE.search(value):
+            raise CorpusError(f"config key {key!r} holds a lone UTF-16 surrogate")
         resolved[norm] = _config_value(key, value, settings[norm])
     return resolved
 

@@ -18,11 +18,17 @@ its memory grows with the number of distinct ids in the corpus.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, IO, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
+
+# A surrogate only comes from a \uD800-\uDFFF escape, and ``json`` joins
+# each valid pair into one character: one left in a string stands alone.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 class CorpusError(ValueError):
@@ -118,9 +124,9 @@ def read_records(
 ) -> Iterator[T]:
     """Yield ``parse(record)`` for each record of a binary JSONL stream,
     in file order.  Blank lines are ignored.  A line that is not UTF-8,
-    not JSON, nested too deep to decode or not an object, or that
-    ``parse`` rejects with ``ValueError``, goes to ``on_error`` as a
-    ``RecordError``; with no ``on_error`` the first raises ``CorpusError``.
+    not JSON, too deep to decode or not an object, holds a lone surrogate,
+    or that ``parse`` rejects with ``ValueError``, goes to ``on_error`` as
+    a ``RecordError``; with no ``on_error`` the first raises ``CorpusError``.
     """
     for line_number, raw in enumerate(stream, 1):
         if not raw.strip():
@@ -129,6 +135,8 @@ def read_records(
             record = json.loads(raw.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("record is not a JSON object")
+            if _ESCAPE.search(raw) and LONE_SURROGATE.search(json.dumps(record, ensure_ascii=False)):
+                raise ValueError("record holds a lone UTF-16 surrogate")
             item = parse(record)
         except (ValueError, RecursionError) as exc:
             reason = f"invalid UTF-8: {exc}" if isinstance(exc, UnicodeDecodeError) else str(exc)

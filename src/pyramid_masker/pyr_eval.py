@@ -76,11 +76,20 @@ def aggregate_coverage(
     return positive / len(judgments)
 
 
+def _as_float(value: int, name: str) -> float:
+    """``value`` as a float; raises ValueError naming ``name`` if it is too large."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def _summary_length(record: dict, side: str, len_unit: LengthUnit) -> int:
     explicit = record.get(f"{side}_len")
     if explicit is not None:
         if not isinstance(explicit, int) or isinstance(explicit, bool):
             raise ValueError(f"{side}_len must be an integer")
+        _as_float(explicit, f"{side}_len")
         return explicit
     text = record.get(f"{side}_text")
     if not isinstance(text, str):
@@ -123,7 +132,7 @@ def record_score(
             coverage = aggregate_coverage(covered, aggregation)
         else:
             raise ValueError(f"SCU covered must be a boolean or list of booleans, got {covered!r}")
-        units.append((float(weight), coverage))
+        units.append((_as_float(weight, "SCU weight"), coverage))
     gold_len = _summary_length(record, "gold", len_unit)
     sys_len = _summary_length(record, "sys", len_unit)
     return summary_id, weighted_coverage_score(units, gold_len, sys_len)

@@ -1,23 +1,18 @@
-"""Self-contained ROUGE-1/2/L plus the two cluster-level salience scores.
+"""Self-contained ROUGE-1/2/L and the cluster's sentence-salience scorer.
 
-``rouge_n``, ``rouge_l`` and ``salience`` compare token sequences as
-given.  The salience scores take sentences and count the n-grams of
-their text normalized under a ``NormalizationConfig`` (see
-``segment.normalize_tokens``): this module is the one place a sentence
-is normalized.
+``rouge_n`` and ``rouge_l`` are plain ROUGE over token lists, compared
+as given.  ``ClusterScorer`` is the salience scorer: it scores the
+sentences of one cluster, counting the n-grams of their text normalized
+under a ``NormalizationConfig`` (see ``segment.normalize_tokens``), and
+is the one place a sentence is normalized.  Under a ``SalienceVariant``
+a score is the ROUGE-1 F1, the ROUGE-2 F1 or their mean, and it ranks
+sentences two ways:
 
-Two salience scores rank sentences within a cluster:
-
-* ``principle_score`` -- ROUGE of a sentence against the concatenation of
-  every *other* sentence in the cluster.
-* ``cluster_rouge`` -- sum of per-document ROUGE against every document
-  except the sentence's own, which rewards content repeated across
-  documents rather than merely long sentences.
-
-The module-level functions are the readable reference implementations.
-``ClusterScorer``, which the pipeline uses, scores the sentences of one
-cluster from counts it builds once, and its scores equal the
-reference's exactly; its docstring says how.
+* principle -- ROUGE of a sentence against the concatenation of every
+  *other* sentence in the cluster, in document order.
+* cluster -- sum of per-document ROUGE against every document except
+  the sentence's own, which rewards content repeated across documents
+  rather than merely long sentences.
 """
 
 from __future__ import annotations
@@ -30,8 +25,7 @@ from operator import add
 from typing import Sequence
 
 from .segment import (
-    DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, by_position, normalize_tokens,
-    require_document_order,
+    DEFAULT_NORMALIZATION, NormalizationConfig, Sentence, normalize_tokens, require_document_order,
 )
 
 # ROUGE-L cost is quadratic, so very long sides are truncated.  4096-token
@@ -163,58 +157,9 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     return RougeScore(precision, recall, _f1(precision, recall))
 
 
-def salience(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    variant: SalienceVariant = DEFAULT_VARIANT,
-) -> float:
-    """The scalar used to rank sentences, under the configured variant."""
-    return _combine(variant, rouge_n(candidate, reference, 1).f1, rouge_n(candidate, reference, 2).f1)
-
-
-def principle_score(
-    sentence: Sentence,
-    context: Sequence[Sentence],
-    variant: SalienceVariant = DEFAULT_VARIANT,
-    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
-) -> float:
-    """Score one sentence against the rest of its cluster.
-
-    ``context`` must not contain the sentence itself; that is checked by
-    object identity, so a verbatim duplicate elsewhere in the cluster
-    still counts toward the context -- which is exactly why repeated
-    boilerplate scores high here.  An empty context scores 0.
-    """
-    if any(other is sentence for other in context):
-        raise ValueError("context must exclude the scored sentence")
-    joined: list[str] = []
-    for other in sorted(context, key=by_position):
-        joined.extend(normalize_tokens(other.text, normalization))
-    return salience(normalize_tokens(sentence.text, normalization), joined, variant)
-
-
-def cluster_rouge(
-    sentence: Sentence,
-    sentences: Sequence[Sentence],
-    variant: SalienceVariant = DEFAULT_VARIANT,
-    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
-) -> float:
-    """Sum of per-document salience against every foreign document."""
-    docs: dict[int, list[str]] = {}
-    for other in sorted(sentences, key=by_position):
-        docs.setdefault(other.doc_index, []).extend(normalize_tokens(other.text, normalization))
-    tokens = normalize_tokens(sentence.text, normalization)
-    total = 0.0
-    for doc_index in sorted(docs):
-        if doc_index == sentence.doc_index:
-            continue
-        total += salience(tokens, docs[doc_index], variant)
-    return total
-
-
 class ClusterScorer:
-    """Counter-based scorer giving the same numbers as the module
-    functions without re-walking the cluster for every sentence.
+    """The principle and cluster scores of one cluster's sentences, from
+    counts built once instead of re-walking the cluster per sentence.
 
     Each sentence's text is normalized under ``normalization`` once,
     as the scorer numbers the cluster's tokens and bigrams with integer
@@ -223,12 +168,12 @@ class ClusterScorer:
     cluster's tokens and, once scored, its two floats -- never its
     n-grams.  A sentence's n-gram profile is built from its span when it
     is scored: for unigrams and for bigrams, the set of grams the
-    sentence has once and a dict of those it repeats.  A once-gram's clipped overlap with
-    a reference is 1 exactly when the reference has it, so that part of
-    an overlap is the size of a set intersection, and only the repeats
-    are counted gram by gram.  These integer overlaps are the reference
-    functions', and the float operations on them run in the same order,
-    so the scores equal the reference's exactly.
+    sentence has once and a dict of those it repeats.  A once-gram's
+    clipped overlap with a reference is 1 exactly when the reference has
+    it, so that part of an overlap is the size of a set intersection,
+    and only the repeats are counted gram by gram.  The integer overlaps
+    are ``rouge_n``'s, and the float operations on them run in its
+    order, so the scores equal ROUGE from the definition exactly.
 
     The leave-one-out context for ``principle`` is derived from the
     totals by subtracting the sentence's own n-grams and patching the

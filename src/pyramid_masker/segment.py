@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from operator import attrgetter
 from typing import Sequence
 
 from .porter import stem
@@ -63,10 +62,6 @@ class Sentence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.doc_index, self.sent_index))
         object.__setattr__(self, "words", tuple(self.text.split()))
-
-
-# Sort key putting sentences in document order.
-by_position = attrgetter("key")
 
 
 def require_document_order(sentences: Sequence[Sentence]) -> None:

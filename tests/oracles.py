@@ -12,7 +12,9 @@ import re
 
 # The salience oracles score the package's own normalized tokens: they
 # check the n-gram counting, and normalization is tested on its own.
-from pyramid_masker.segment import normalize_tokens
+# ``principle_oracle`` and ``cluster_rouge_oracle`` are the exact
+# reference for ``ClusterScorer``: its scores must equal theirs with ``==``.
+from pyramid_masker.segment import DEFAULT_NORMALIZATION, normalize_tokens
 
 
 def ngram_counts(tokens, n):
@@ -87,24 +89,27 @@ def _key(sentence):
     return (sentence.doc_index, sentence.sent_index)
 
 
-def principle_oracle(sentence, all_sentences, variant="mean_r1_r2_f1"):
+def principle_oracle(sentence, all_sentences, variant="mean_r1_r2_f1",
+                     normalization=DEFAULT_NORMALIZATION):
     context = []
     for other in sorted(all_sentences, key=_key):
         if other is sentence:
             continue
-        context.extend(normalize_tokens(other.text))
-    return variant_oracle(normalize_tokens(sentence.text), context, variant)
+        context.extend(normalize_tokens(other.text, normalization))
+    return variant_oracle(normalize_tokens(sentence.text, normalization), context, variant)
 
 
-def cluster_rouge_oracle(sentence, all_sentences, variant="mean_r1_r2_f1"):
+def cluster_rouge_oracle(sentence, all_sentences, variant="mean_r1_r2_f1",
+                         normalization=DEFAULT_NORMALIZATION):
     per_doc = {}
     for other in sorted(all_sentences, key=_key):
-        per_doc.setdefault(other.doc_index, []).extend(normalize_tokens(other.text))
+        per_doc.setdefault(other.doc_index, []).extend(normalize_tokens(other.text, normalization))
+    tokens = normalize_tokens(sentence.text, normalization)
     total = 0.0
     for doc_index in sorted(per_doc):
         if doc_index == sentence.doc_index:
             continue
-        total += variant_oracle(normalize_tokens(sentence.text), per_doc[doc_index], variant)
+        total += variant_oracle(tokens, per_doc[doc_index], variant)
     return total
 
 

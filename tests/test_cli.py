@@ -403,6 +403,7 @@ def test_attention_window_flag_is_gone(capsys):
         ('{"attention_window": 512}', "unknown config key 'attention_window'"),
         ('{"seed": 1', "not valid JSON"),
         pytest.param("[" * 100_000, "not valid JSON", id="nested"),
+        pytest.param('{"doc_sep_token": "\\ud800"}', "'doc_sep_token'", id="surrogate"),
     ],
 )
 def test_bad_config_file_value_is_fatal(corpus_path, tmp_path, capsys, text, named):
@@ -732,14 +733,31 @@ VALID_RECORDS = {
 }
 
 
+# For each subcommand, a record valid but for a lone surrogate that the
+# JSON escape \ud800 or \udc00 makes in a key or a string.
+SURROGATE_RECORDS = {
+    "mask": json.dumps({"cluster_id": "s", "documents": ["Bad \ud800 here."]}),
+    "stats": json.dumps({"cluster_id": "s", "documents": ["Fine."], "\udc00": 1}),
+    "score-sentence": json.dumps({"cluster_id": "s", "documents": ["Bad \udc00 here."]}),
+    "eval-pyramid": json.dumps(eval_record("s\ud800")),
+    "inspect": json.dumps({**INSPECT_RECORD, "input": ["\ud800"]}),
+}
+
+
 @pytest.mark.parametrize(
-    "bad", [b"not json", b"[1,2]", b"\xff", b"[" * 100_000], ids=["text", "array", "utf8", "nested"]
+    "bad",
+    # None stands for the subcommand's line in SURROGATE_RECORDS.
+    [b"not json", b"[1,2]", b"\xff", b"[" * 100_000, None],
+    ids=["text", "array", "utf8", "nested", "surrogate"],
 )
 @pytest.mark.parametrize("command", list(VALID_RECORDS))
 def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, command, bad):
     """A bad first line is skipped as one record_error on line 1; the
     valid record after it gives the same output and exit code as alone."""
     monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    surrogate = bad is None
+    if surrogate:
+        bad = SURROGATE_RECORDS[command].encode()
     valid = VALID_RECORDS[command].encode() + b"\n"
     clean = tmp_path / "clean.jsonl"
     clean.write_bytes(valid)
@@ -759,6 +777,27 @@ def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, comma
         assert events[0]["reason"].startswith("invalid UTF-8:")
     if bad == b"[1,2]":
         assert events[0]["reason"] == "record is not a JSON object"
+    if surrogate:
+        assert events[0]["reason"] == "record holds a lone UTF-16 surrogate"
+
+
+def test_mask_skips_a_lone_surrogate_with_a_pool(
+    multichunk_corpus_path, tmp_path, monkeypatch, capsys
+):
+    """The surrogate case above, at ``--workers 2`` on a corpus that starts a pool."""
+    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+    argv = ["mask", "--workers", "2", "--input"]
+    assert main([*argv, str(multichunk_corpus_path)]) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(SURROGATE_RECORDS["mask"].encode() + b"\n" + multichunk_corpus_path.read_bytes())
+    assert main([*argv, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected != ""
+    errors = [e for e in events_of(captured.err) if e["event"] == "record_error"]
+    assert errors == [
+        {"event": "record_error", "line": 1, "reason": "record holds a lone UTF-16 surrogate"}
+    ]
 
 
 def test_score_sentence_fault_is_fatal(corpus_path, monkeypatch, capsys):

@@ -134,6 +134,24 @@ def test_invalid_utf8_reported():
     assert "UTF-8" in errors[0].reason
 
 
+def test_lone_surrogate_is_a_record_error_and_a_pair_is_not():
+    stream = jsonl(
+        '{"cluster_id": "pair", "documents": ["Smile \\ud83d\\ude00 here."]}',
+        '{"cluster_id": "high", "documents": ["Bad \\uD800 here."]}',
+        '{"cluster_id": "key", "documents": ["Fine."], "\\udc00": 1}',
+        '{"cluster_id": "swapped", "documents": ["Two \\ude00\\ud83d here."]}',
+        '{"cluster_id": "nested", "documents": ["Fine."], "entities": [{"surface": "\\ud800"}]}',
+        '{"cluster_id": "escaped", "documents": ["A \\\\ud800 backslash."]}',
+    )
+    clusters, errors = collect(stream)
+    assert [c.cluster_id for c in clusters] == ["pair", "escaped"]
+    assert clusters[0].documents == ("Smile \U0001F600 here.",)
+    assert clusters[1].documents == ("A \\ud800 backslash.",)
+    assert [(e.line_number, e.reason) for e in errors] == [
+        (n, "record holds a lone UTF-16 surrogate") for n in (2, 3, 4, 5)
+    ]
+
+
 def test_duplicate_cluster_id_skipped():
     a1 = {"cluster_id": "a", "documents": ["first"]}
     a2 = {"cluster_id": "a", "documents": ["second"]}

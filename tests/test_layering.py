@@ -1,10 +1,14 @@
-"""Where a mention is gets decided in one module, ``entities``.
+"""Where a mention is gets decided in one module, ``entities``, and a
+sentence is normalized in one, ``rouge``.
 
 These read the package source: only ``entities.py`` may define or name
 the folded form and the boundary rule, and a ``Sentence`` carries no
-folded text of its own.  No module keeps an import or a private
-module-level name that it never reads.  The package's ``__all__`` is
-sorted and names exactly what ``__init__.py`` imports.
+folded text of its own.  Only ``segment.py``, which defines
+``normalize_tokens``, ``rouge.py``, whose ``ClusterScorer`` calls it,
+and ``__init__.py``, which re-exports it, may name it.  No module keeps
+an import or a private module-level name that it never reads.  The
+package's ``__all__`` is sorted and names exactly what ``__init__.py``
+imports.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ def test_only_entities_names_the_mention_rule():
     assert {name: found for name, found in named.items() if found} == {
         "entities.py": MENTION_RULE
     }
+
+
+def test_only_the_scorer_normalizes_a_sentence():
+    modules = sorted(path.name for path in PACKAGE.glob("*.py"))
+    naming = [name for name in modules if "normalize_tokens" in _names(_tree(name))]
+    assert naming == ["__init__.py", "rouge.py", "segment.py"]
 
 
 def test_sentence_has_no_folded_text():

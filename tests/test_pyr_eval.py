@@ -173,6 +173,10 @@ def test_explicit_length_beats_text():
         {"scus": [{"id": "x", "weight": 1, "covered": [True, 1]}]},
         {"gold_len": "100"},
         {"gold_len": True},
+        # integers no float can hold
+        {"scus": [{"id": "x", "weight": 10**400, "covered": True}]},
+        {"gold_len": 10**400},
+        {"sys_len": 10**400},
     ],
 )
 def test_record_score_rejects_malformed(broken):

@@ -14,11 +14,8 @@ from pyramid_masker import (
     ClusterScorer,
     DocumentCluster,
     SalienceVariant,
-    cluster_rouge,
-    principle_score,
     rouge_l,
     rouge_n,
-    salience,
     segment_cluster,
 )
 from pyramid_masker.rouge import LCS_TOKEN_CAP
@@ -29,7 +26,6 @@ from oracles import (
     principle_oracle,
     rouge_l_oracle,
     rouge_n_oracle,
-    variant_oracle,
 )
 from synth import synthetic_cluster
 
@@ -126,49 +122,44 @@ def sentence(doc: int, sent: int, words: str) -> Sentence:
     return Sentence("c", doc, sent, words)
 
 
-def test_principle_rejects_included_sentence():
-    s = sentence(0, 0, "a b")
-    with pytest.raises(ValueError):
-        principle_score(s, [s, sentence(0, 1, "c d")])
-
-
 def test_principle_empty_context_is_zero():
-    assert principle_score(sentence(0, 0, "a b"), []) == 0.0
+    target = sentence(0, 0, "a b")
+    assert ClusterScorer([target]).principle(target) == 0.0
 
 
 def test_principle_full_containment_recall():
     target = sentence(0, 0, "a b")
-    context = [sentence(0, 1, "a b c d")]
-    score = principle_score(target, context, SalienceVariant.R1_F1)
+    scorer = ClusterScorer([target, sentence(0, 1, "a b c d")], SalienceVariant.R1_F1)
     _, _, expected = rouge_n_oracle(["a", "b"], ["a", "b", "c", "d"], 1)
-    assert score == pytest.approx(expected)
+    assert scorer.principle(target) == pytest.approx(expected)
 
 
 def test_cluster_rouge_single_document_is_zero():
     sentences = [sentence(0, 0, "a b"), sentence(0, 1, "c d")]
-    assert cluster_rouge(sentences[0], sentences) == 0.0
+    assert ClusterScorer(sentences).cluster(sentences[0]) == 0.0
 
 
 def test_cluster_rouge_verbatim_twin_document():
     twin = [sentence(0, 0, "a b c"), sentence(1, 0, "a b c")]
-    assert cluster_rouge(twin[0], twin, SalienceVariant.R1_F1) == 1.0
+    assert ClusterScorer(twin, SalienceVariant.R1_F1).cluster(twin[0]) == 1.0
 
 
 def test_cluster_rouge_invariant_to_document_relabeling():
+    """The relabelled sentences go to the scorer in document order.  Only
+    the summation order of the per-document scores changes."""
     rng = random.Random(11)
     cluster = synthetic_cluster(rng, "perm", num_docs=4, total_sentences=12)
     sentences = segment_cluster(cluster)
-    target = sentences[0]
-    baseline = cluster_rouge(target, sentences)
+    baseline = ClusterScorer(sentences)
     perm = [3, 0, 2, 1]
-    relabeled = [
-        Sentence(s.cluster_id, perm[s.doc_index], s.sent_index, s.text)
-        for s in sentences
-    ]
-    moved = next(
-        s for s in relabeled if (s.doc_index, s.sent_index) == (perm[target.doc_index], target.sent_index)
+    relabeled = sorted(
+        (Sentence(s.cluster_id, perm[s.doc_index], s.sent_index, s.text) for s in sentences),
+        key=lambda s: s.key,
     )
-    assert cluster_rouge(moved, relabeled) == pytest.approx(baseline, abs=1e-12)
+    scorer = ClusterScorer(relabeled)
+    for s in sentences:
+        moved = next(r for r in relabeled if r.key == (perm[s.doc_index], s.sent_index))
+        assert scorer.cluster(moved) == pytest.approx(baseline.cluster(s), abs=1e-12)
 
 
 # Shapes the seeded synthetic clusters rarely or never produce.
@@ -205,39 +196,14 @@ def test_scorer_matches_naive_functions(seed, variant):
         for cluster_first in (True, False):
             scorer = ClusterScorer(sentences, variant, norm)
             for s in sentences if cluster_first else reversed(sentences):
-                context = [o for o in sentences if o is not s]
-                expected_principle = principle_score(s, context, variant, norm)
-                expected_cluster = cluster_rouge(s, sentences, variant, norm)
+                expected_principle = principle_oracle(s, sentences, variant.value, norm)
+                expected_cluster = cluster_rouge_oracle(s, sentences, variant.value, norm)
                 if cluster_first:
                     assert scorer.cluster(s) == expected_cluster
                     assert scorer.principle(s) == expected_principle
                 else:
                     assert scorer.principle(s) == expected_principle
                     assert scorer.cluster(s) == expected_cluster
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1))
-def test_naive_functions_match_test_oracles(seed):
-    rng = random.Random(seed)
-    cluster = synthetic_cluster(rng, f"or{seed}", total_sentences=rng.randint(5, 12))
-    sentences = segment_cluster(cluster)
-    for s in sentences:
-        context = [o for o in sentences if o is not s]
-        assert principle_score(s, context) == pytest.approx(
-            principle_oracle(s, sentences), abs=1e-12
-        )
-        assert cluster_rouge(s, sentences) == pytest.approx(
-            cluster_rouge_oracle(s, sentences), abs=1e-12
-        )
-
-
-@given(TOKENS, TOKENS)
-def test_salience_variants_agree_with_oracle(cand, ref):
-    for variant in SalienceVariant:
-        assert salience(cand, ref, variant) == pytest.approx(
-            variant_oracle(cand, ref, variant.value), abs=1e-12
-        )
 
 
 # Clusters over a three-word vocabulary, so sentences repeat unigrams and
@@ -260,18 +226,13 @@ def test_scorer_matches_oracles_on_repeated_ngrams(docs, variant):
         for d, doc in enumerate(docs)
         for j, tokens in enumerate(doc)
     ]
-    expected = {}
-    for s in sentences:
-        context = [o for o in sentences if o is not s]
-        principle = principle_score(s, context, variant)
-        cluster = cluster_rouge(s, sentences, variant)
-        assert principle == pytest.approx(
-            principle_oracle(s, sentences, variant.value), abs=1e-12
-        )
-        assert cluster == pytest.approx(
-            cluster_rouge_oracle(s, sentences, variant.value), abs=1e-12
-        )
-        expected[s.key] = {"principle": principle, "cluster": cluster}
+    expected = {
+        s.key: {
+            "principle": principle_oracle(s, sentences, variant.value),
+            "cluster": cluster_rouge_oracle(s, sentences, variant.value),
+        }
+        for s in sentences
+    }
     # ``cluster`` caches both scores and ``principle`` reads that cache,
     # so the call order decides which path each score takes.  A fresh
     # scorer per order, and every sentence through every call.
