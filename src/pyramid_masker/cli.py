@@ -19,15 +19,13 @@ empty ``--abbreviations`` is fatal.  Settings resolve as flags over
 config-file values over the config dataclasses' defaults.  The config
 file is a flat JSON object whose keys are the ``mask`` flag names, with
 hyphens or underscores.  Its values are JSON scalars of the flag's type,
-and switches take ``true`` or ``false``.  ``PYRAMID_MASKER_WORKERS``
-overrides the worker count from either source.
+and switches take ``true`` or ``false``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from collections import defaultdict
@@ -170,17 +168,10 @@ def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
 
 def _given_settings(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
     """The settings the user gave, by config key: flags over config-file
-    values, with ``PYRAMID_MASKER_WORKERS`` over both where ``--workers``
-    exists."""
+    values."""
     config = getattr(args, "config", None)
     given = _load_config_file(config, settings) if config else {}
     given.update((key, getattr(args, key)) for key in settings if getattr(args, key) is not None)
-    env_workers = os.environ.get("PYRAMID_MASKER_WORKERS")
-    if env_workers and "workers" in settings:
-        try:
-            given["workers"] = int(env_workers)
-        except ValueError as exc:
-            raise CorpusError(f"PYRAMID_MASKER_WORKERS must be an integer: {env_workers!r}") from exc
     return given
 
 

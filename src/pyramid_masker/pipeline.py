@@ -10,6 +10,7 @@ stdout, and stderr but for its timings, are the same at any worker count.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from collections import deque
@@ -124,9 +125,18 @@ def _process_chunk(items: Sequence[tuple], config: PipelineConfig) -> list[tuple
     return [_process_one(cluster, events, config) for cluster, events in items]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
     """Per-cluster results for (cluster, events) items in input order,
-    inline or via a bounded pool.
+    inline or via a pool of ``min(workers, usable CPUs)`` processes with
+    at most two chunks per process in flight.
 
     Before a pool starts, one cluster more than a chunk is read.  An
     input of one chunk or less, like a one-worker run, stays in this
@@ -141,9 +151,10 @@ def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, _usable_cpus())
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         inflight: deque = deque()
-        max_inflight = config.workers * 2
+        max_inflight = workers * 2
         while chunk := list(islice(items, CHUNK_SIZE)):
             if len(inflight) == max_inflight:
                 yield from inflight.popleft().result()

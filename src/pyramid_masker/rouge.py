@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
+from itertools import count
 from operator import add
 from typing import Sequence
 
@@ -88,11 +88,6 @@ def _combine(variant: SalienceVariant, r1: float, r2: float) -> float:
     if variant is SalienceVariant.R2_F1:
         return r2
     return (r1 + r2) / 2.0
-
-
-def _repeated_keys(counts: dict) -> set:
-    """The keys of ``counts`` whose count is above 1."""
-    return set(compress(counts, map((1).__lt__, counts.values())))
 
 
 def _overlap_f1(overlap: int, cand_total: int, ref_total: int) -> float:
@@ -231,8 +226,8 @@ class ClusterScorer:
         # The grams the cluster holds more than once: a gram a sentence
         # holds once is in its leave-one-out context exactly when it is
         # one of these (bigrams at the sentence's seams aside).
-        self._shared_uni = _repeated_keys(self._total_uni)
-        self._shared_bi = _repeated_keys(self._total_bi)
+        self._shared_uni = {gram for gram, n in self._total_uni.items() if n > 1}
+        self._shared_bi = {gram for gram, n in self._total_bi.items() if n > 1}
         # key -> (cluster score, principle score), filled by ``cluster``.
         self._scores: dict[tuple[int, int], tuple[float, float]] = {}
 

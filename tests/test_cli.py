@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -104,7 +105,6 @@ def test_mask_bug_is_fatal_not_a_skip(multichunk_corpus_path, monkeypatch, capsy
     def broken(*args, **kwargs):
         raise ValueError("selection fault")
 
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "select_sentences", broken)
     code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", str(workers)])
     captured = capsys.readouterr()
@@ -123,7 +123,6 @@ def test_mask_interrupt_is_fatal(multichunk_corpus_path, monkeypatch, capsys, wo
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "select_sentences", interrupted)
     try:
         code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", str(workers)])
@@ -152,10 +151,9 @@ def insert_line(path, index: int, line: str) -> None:
     path.write_text("".join(lines))
 
 
-def test_strict_bad_line_past_the_first_chunk(multichunk_corpus_path, monkeypatch, capsys):
+def test_strict_bad_line_past_the_first_chunk(multichunk_corpus_path, capsys):
     """Under --strict the records above the first bad line are written,
     then one fatal line, whether or not a pool reads ahead of it."""
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     insert_line(multichunk_corpus_path, 36, "not json")
     serial, parallel = strict_runs(multichunk_corpus_path, capsys)
     assert parallel == serial
@@ -168,10 +166,9 @@ def test_strict_bad_line_past_the_first_chunk(multichunk_corpus_path, monkeypatc
     assert events[0]["reason"].startswith("line 37: ")
 
 
-def test_strict_skip_prints_the_clusters_events_first(multichunk_corpus_path, monkeypatch, capsys):
+def test_strict_skip_prints_the_clusters_events_first(multichunk_corpus_path, capsys):
     """A cluster skipped under --strict prints its own events, then the
     fatal line in place of its cluster_skipped."""
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     special = {
         "cluster_id": "special",
         "documents": ["Alpha beta. The <doc-sep> token. Gamma."],
@@ -225,7 +222,6 @@ def crash_worker(clusters, config):
 
 
 def test_mask_worker_crash_is_fatal(multichunk_corpus_path, monkeypatch, capsys):
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "_process_chunk", crash_worker)
     code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", "2"])
     captured = capsys.readouterr()
@@ -282,7 +278,7 @@ def test_mask_seed_changes_random_strategy(corpus_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config file and environment
+# config file
 
 
 def test_config_file_supplies_defaults(corpus_path, tmp_path, capsys):
@@ -302,6 +298,41 @@ def test_flags_beat_config_file(corpus_path, tmp_path, capsys):
     main(["mask", "--input", str(corpus_path), "--config", str(cfg), "--strategy", "principle"])
     record = json.loads(capsys.readouterr().out.splitlines()[0])
     assert record["meta"]["strategy"] == "principle"
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        pytest.param(["--workers", "100000"], id="flag"),
+        pytest.param({"workers": 1e300}, id="config"),
+    ],
+)
+def test_worker_count_is_bounded_by_usable_cpus(tmp_path, monkeypatch, capsys, given):
+    """A worker count past the usable CPUs, from a flag or the config
+    file, gets a pool of the usable CPUs and the output of one worker.
+    Threads stand in for the worker processes."""
+    rng = random.Random(0)
+    corpus = tmp_path / "corpus.jsonl"
+    lines = [cluster_line(synthetic_cluster(rng, f"c{i}")) + "\n" for i in range(40)]
+    corpus.write_text("".join(lines))
+    argv = ["mask", "--input", str(corpus)]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        given = ["--config", str(cfg)]
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main([*argv, *given]) == 0
+    assert sizes == [pipeline._usable_cpus()]
+    assert capsys.readouterr().out == serial
 
 
 def test_unknown_config_key_is_fatal(corpus_path, tmp_path, capsys):
@@ -328,8 +359,7 @@ def test_negative_progress_every_is_fatal(corpus_path, capsys):
     assert "progress_every" in events[0]["reason"]
 
 
-def test_no_settings_build_the_dataclass_defaults(monkeypatch):
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+def test_no_settings_build_the_dataclass_defaults():
     assert _build_pipeline_config(build_parser().parse_args(["mask"])) == PipelineConfig()
 
 
@@ -360,8 +390,7 @@ SETTING_VALUES = {
 }
 
 
-def test_each_setting_means_the_same_as_flag_and_config_key(tmp_path, monkeypatch):
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
+def test_each_setting_means_the_same_as_flag_and_config_key(tmp_path):
     parser = build_parser()
     keys = set(vars(parser.parse_args(["mask"]))) - {"command", "func", "input", "output", "config"}
     assert keys == set(SETTING_VALUES)
@@ -415,23 +444,6 @@ def test_bad_config_file_value_is_fatal(corpus_path, tmp_path, capsys, text, nam
     assert captured.out == ""
     fatal = json.loads(captured.err.splitlines()[-1])
     assert fatal["event"] == "fatal" and named in fatal["reason"]
-
-
-def test_env_var_overrides_workers_flag(corpus_path, capsys, monkeypatch):
-    # an invalid env value must win over a valid flag to prove precedence
-    monkeypatch.setenv("PYRAMID_MASKER_WORKERS", "0")
-    code = main(["mask", "--input", str(corpus_path), "--workers", "4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "workers" in events_of(captured.err)[-1]["reason"]
-
-
-def test_env_var_must_be_integer(corpus_path, capsys, monkeypatch):
-    monkeypatch.setenv("PYRAMID_MASKER_WORKERS", "lots")
-    code = main(["mask", "--input", str(corpus_path)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "PYRAMID_MASKER_WORKERS" in events_of(captured.err)[-1]["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +517,7 @@ def test_score_sentence_first_cluster(corpus_path, capsys):
         assert row["cluster_rouge"] == scorer.cluster(s)
 
 
-def test_score_sentence_default_variant_is_the_selection_default(
-    corpus_path, capsys, monkeypatch
-):
-    # score-sentence has no --workers, so it never reads the variable.
-    monkeypatch.setenv("PYRAMID_MASKER_WORKERS", "lots")
+def test_score_sentence_default_variant_is_the_selection_default(corpus_path, capsys):
     code = main(["score-sentence", "--input", str(corpus_path)])
     assert code == 0
     variant = SelectionConfig().variant
@@ -751,10 +759,9 @@ SURROGATE_RECORDS = {
     ids=["text", "array", "utf8", "nested", "surrogate"],
 )
 @pytest.mark.parametrize("command", list(VALID_RECORDS))
-def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, command, bad):
+def test_bad_first_line_is_one_record_error(tmp_path, capsys, command, bad):
     """A bad first line is skipped as one record_error on line 1; the
     valid record after it gives the same output and exit code as alone."""
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     surrogate = bad is None
     if surrogate:
         bad = SURROGATE_RECORDS[command].encode()
@@ -781,11 +788,8 @@ def test_bad_first_line_is_one_record_error(tmp_path, capsys, monkeypatch, comma
         assert events[0]["reason"] == "record holds a lone UTF-16 surrogate"
 
 
-def test_mask_skips_a_lone_surrogate_with_a_pool(
-    multichunk_corpus_path, tmp_path, monkeypatch, capsys
-):
+def test_mask_skips_a_lone_surrogate_with_a_pool(multichunk_corpus_path, tmp_path, capsys):
     """The surrogate case above, at ``--workers 2`` on a corpus that starts a pool."""
-    monkeypatch.delenv("PYRAMID_MASKER_WORKERS", raising=False)
     argv = ["mask", "--workers", "2", "--input"]
     assert main([*argv, str(multichunk_corpus_path)]) == 0
     expected = capsys.readouterr().out

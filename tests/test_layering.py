@@ -8,7 +8,8 @@ folded text of its own.  Only ``segment.py``, which defines
 and ``__init__.py``, which re-exports it, may name it.  No module keeps
 an import or a private module-level name that it never reads.  The
 package's ``__all__`` is sorted and names exactly what ``__init__.py``
-imports.
+imports.  No module reads the environment, so every setting comes from
+a flag or the config file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pyramid_masker.segment import Sentence
 
 PACKAGE = Path(pyramid_masker.__file__).parent
 MENTION_RULE = {"fold_words", "contains_mention"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -55,6 +57,13 @@ def test_only_the_scorer_normalizes_a_sentence():
     modules = sorted(path.name for path in PACKAGE.glob("*.py"))
     naming = [name for name in modules if "normalize_tokens" in _names(_tree(name))]
     assert naming == ["__init__.py", "rouge.py", "segment.py"]
+
+
+def test_no_module_reads_the_environment():
+    modules = sorted(path.name for path in PACKAGE.glob("*.py"))
+    assert "cli.py" in modules
+    named = {name: _names(_tree(name)) & ENVIRONMENT for name in modules}
+    assert {name: found for name, found in named.items() if found} == {}
 
 
 def test_sentence_has_no_folded_text():

@@ -165,33 +165,68 @@ def test_chunk_edges_agree_at_any_worker_count(count):
 
 
 @pytest.mark.parametrize(
-    "workers, count, pool_size",
+    "cpus, workers, count, pool_size",
     [
-        (2, 1, None),
-        (16, CHUNK_SIZE, None),
-        (2, CHUNK_SIZE + 1, 2),
-        (16, CHUNK_SIZE + 1, 16),
-        (3, 3 * CHUNK_SIZE + 1, 3),
+        pytest.param(16, 2, 1, None, id="2-1-None"),
+        pytest.param(16, 16, CHUNK_SIZE, None, id="16-32-None"),
+        pytest.param(16, 2, CHUNK_SIZE + 1, 2, id="2-33-2"),
+        pytest.param(16, 16, CHUNK_SIZE + 1, 16, id="16-33-16"),
+        pytest.param(16, 3, 3 * CHUNK_SIZE + 1, 3, id="3-97-3"),
+        pytest.param(2, 16, CHUNK_SIZE + 1, 2, id="2cpus-16-33-2"),
+        pytest.param(2, 100_000, 6 * CHUNK_SIZE + 1, 2, id="2cpus-100000-193-2"),
     ],
 )
-def test_pool_starts_only_past_one_chunk(monkeypatch, workers, count, pool_size):
-    """A run of one chunk starts no pool; a longer one starts the pool
-    ``--workers`` asks for.  Threads stand in for the worker processes."""
+def test_pool_starts_only_past_one_chunk(monkeypatch, cpus, workers, count, pool_size):
+    """A run of one chunk starts no pool; a longer one starts a pool of
+    the workers ``--workers`` asks for, but no more than the usable CPUs,
+    with at most two chunks per worker in flight.  Threads stand in for
+    the worker processes."""
     sizes = []
+    unread: set = set()
+    peak = 0
+
+    class Tracked:
+        """A future whose result the driver has not yet read."""
+
+        def __init__(self, future):
+            self.future = future
+            unread.add(self)
+
+        def result(self):
+            unread.discard(self)
+            return self.future.result()
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
+        def submit(self, fn, *args):
+            nonlocal peak
+            tracked = Tracked(super().submit(fn, *args))
+            peak = max(peak, len(unread))
+            return tracked
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
     corpus = make_corpus(count, seed=17)
     lead = SelectionConfig(strategy=Strategy.LEAD)
     _, serial, _ = drive(corpus, PipelineConfig(selection=lead))
     report, out, _ = drive(corpus, PipelineConfig(selection=lead, workers=workers))
     assert sizes == ([] if pool_size is None else [pool_size])
+    assert peak <= 2 * (pool_size or 0)
     assert report.processed == count
     assert out == serial
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    """Where the process has no affinity call, the pool is bounded by
+    the CPU count, or by one CPU when even that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert pipeline._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._usable_cpus() == 1
 
 
 def test_skipped_cluster_reported_not_fatal():
