@@ -12,8 +12,9 @@ Data goes to stdout, every diagnostic goes to stderr as one JSON object
 per line.  Every subcommand reads JSONL through ``ingest.read_records``,
 which skips a bad line as a ``record_error`` event (fatal under
 ``--strict``).  ``main`` ends any subcommand's fault as one ``fatal``
-line carrying the traceback, and Ctrl-C as a ``fatal`` line with the
-reason ``interrupted``; both exit 1.  ``mask`` and ``score-sentence``
+line carrying the traceback, Ctrl-C as a ``fatal`` line with the
+reason ``interrupted``, and a bad command line as a ``fatal`` line
+naming what was wrong; all exit 1.  ``mask`` and ``score-sentence``
 build their shared settings from one table, ``SETTINGS``; in both, an
 empty ``--abbreviations`` is fatal.  Settings resolve as flags over
 config-file values over the config dataclasses' defaults.  The config
@@ -34,7 +35,7 @@ from dataclasses import asdict
 from enum import EnumMeta
 from functools import partial
 from operator import not_
-from typing import IO, Iterable
+from typing import IO, Iterable, NoReturn
 
 from .entities import EntitySource
 from .ingest import (
@@ -59,6 +60,17 @@ def _record_error(error: RecordError) -> None:
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_float(value: object) -> bool:
+    """Whether ``value`` is a number that a float can hold."""
+    if not _is_number(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _open_source(path: str, stack: ExitStack) -> IO[bytes]:
@@ -158,8 +170,6 @@ def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
         norm = key.lstrip("-").replace("-", "_")
         if norm not in settings:
             raise CorpusError(f"unknown config key {key!r} in {path}")
-        if isinstance(value, (dict, list)):
-            raise CorpusError(f"config key {key!r} must be a scalar")
         if isinstance(value, str) and LONE_SURROGATE.search(value):
             raise CorpusError(f"config key {key!r} holds a lone UTF-16 surrogate")
         resolved[norm] = _config_value(key, value, settings[norm])
@@ -184,9 +194,9 @@ def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         for key, value in given.items():
             s = settings[key]
             fields[s.config][s.field] = s.convert(value) if s.convert else value
+        normalization = NormalizationConfig(**fields[NormalizationConfig])
         return PipelineConfig(
-            normalization=NormalizationConfig(**fields[NormalizationConfig]),
-            selection=SelectionConfig(**fields[SelectionConfig]),
+            selection=SelectionConfig(**fields[SelectionConfig], normalization=normalization),
             mask=MaskConfig(**fields[MaskConfig]),
             **fields[PipelineConfig],
         )
@@ -226,7 +236,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
         wanted = args.cluster_id if args.cluster_id is not None else "<first cluster>"
         return _fatal(f"cluster {wanted!r} not found in {args.input}")
     sentences = segment_cluster(target, abbreviations=config.abbreviations)
-    scorer = ClusterScorer(sentences, variant, config.normalization)
+    scorer = ClusterScorer(sentences, variant, config.selection.normalization)
     rows = []
     for s in sentences:
         # ``cluster`` first: it keeps the principle score of the same
@@ -272,8 +282,8 @@ def _check_example(record: dict) -> dict:
     scores = meta.get("scores", {})
     if not isinstance(scores, dict):
         raise ValueError("meta.scores must be an object")
-    if not all(map(_is_number, scores.values())):
-        raise ValueError("every score in meta.scores must be a number")
+    if not all(map(_is_float, scores.values())):
+        raise ValueError("every score in meta.scores must be a number a float can hold")
     for name in ("input", "target"):
         tokens = record.get(name, [])
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
@@ -316,8 +326,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``CorpusError`` on a bad command line, which ``main`` ends
+    as one ``fatal`` line, in place of argparse's usage text and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CorpusError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pyramid-masker",
         description="Build gap-sentence pretraining examples from multi-document clusters.",
     )
@@ -366,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CorpusError, OSError) as exc:
         return _fatal(str(exc))

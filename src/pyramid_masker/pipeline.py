@@ -27,7 +27,7 @@ from .mask import (
     build_masked_example,
     truncate_per_document,
 )
-from .segment import NormalizationConfig, segment_cluster
+from .segment import segment_cluster
 from .selection import SelectionConfig, Strategy, select_sentences
 
 # Clusters handed to each worker task; big enough to amortize pickling,
@@ -37,7 +37,6 @@ CHUNK_SIZE = 32
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     mask: MaskConfig = field(default_factory=MaskConfig)
     entity_source: EntitySource = EntitySource.RULES
@@ -73,9 +72,7 @@ def process_cluster(
             sentences, config.entity_source, cluster.entity_annotations, events
         )
         pyramid = build_pyramid(mentions, len(cluster.documents))
-    selection = select_sentences(
-        sentences, config.selection, cluster.cluster_id, pyramid, config.normalization
-    )
+    selection = select_sentences(sentences, config.selection, pyramid)
     documents = truncate_per_document(sentences, config.mask.input_token_limit, len(cluster.documents))
     return build_masked_example(cluster.cluster_id, documents, selection, config.mask)
 

@@ -15,12 +15,15 @@ Four strategies share one result shape:
 * ``random`` -- seeded per-cluster sample, reproducible across runs and
   worker counts.
 
-Counts derive from two ratios over the cluster's sentence total.  At
-least one sentence is always masked, and never all of them unless the
-cluster has a single sentence.
+``select_sentences(sentences, config, pyramid)`` runs the configured
+strategy.  Counts derive from two ratios over the cluster's sentence
+total.  At least one sentence is always masked, and never all of them
+unless the cluster has a single sentence.  ``select_principle`` and
+``select_entity_pyramid`` take their counts and scorer from the caller.
 
-Sentences come in document order (``segment_cluster``'s); the scorer
-and each ``select_*`` but principle raise ``ValueError`` otherwise.
+Sentences come in document order (``segment_cluster``'s); the scorer,
+``select_entity_pyramid`` and the lead and random strategies raise
+``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class SelectionConfig:
     copy_ratio: float = 0.15
     variant: SalienceVariant = DEFAULT_VARIANT
     seed: int = 0
+    normalization: NormalizationConfig = DEFAULT_NORMALIZATION
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mask_ratio <= 1.0:
@@ -102,29 +106,27 @@ def compute_copy_count(total_sentences: int, mask_count: int, copy_ratio: float)
 
 def _top_principle(
     sentences: Sequence[Sentence], count: int, scorer: ClusterScorer
-) -> list[tuple[tuple[int, int], float]]:
-    """The ``count`` highest principle scores as (key, score) picks; ties
+) -> dict[tuple[int, int], float]:
+    """The ``count`` highest principle scores by key, in rank order; ties
     go to the earliest position.  Each sentence is scored once."""
     ranked = sorted((-scorer.principle(s), s.key) for s in sentences)
-    return [(key, -negated) for negated, key in ranked[:count]]
+    return {key: -negated for negated, key in ranked[:count]}
 
 
 def _result(
     strategy: Strategy,
-    picked: Sequence[tuple[tuple[int, int], float]],
+    picked: Sequence[tuple[int, int]],
     mask_count: int,
+    scores: Mapping[tuple[int, int], float] | None = None,
     fallback_used: bool = False,
-    with_scores: bool = True,
 ) -> SelectionResult:
-    masked = tuple(sorted(key for key, _ in picked[:mask_count]))
-    copied = tuple(sorted(key for key, _ in picked[mask_count:]))
-    scores = {key: score for key, score in picked} if with_scores else {}
+    """The first ``mask_count`` picked keys masked, the rest copied."""
     return SelectionResult(
         strategy=strategy,
-        masked=masked,
-        copied=copied,
+        masked=tuple(sorted(picked[:mask_count])),
+        copied=tuple(sorted(picked[mask_count:])),
         fallback_used=fallback_used,
-        scores=scores,
+        scores=scores or {},
     )
 
 
@@ -146,32 +148,30 @@ def select_entity_pyramid(
     """
     require_document_order(sentences)
     need = mask_count + copy_count
-    picked: list[tuple[tuple[int, int], float]] = []
-    picked_keys: set[tuple[int, int]] = set()
+    # Each picked key's score, in pick order.
+    picked: dict[tuple[int, int], float] = {}
 
     for _, candidates in entity_candidates(sentences, pyramid):
         best: Sentence | None = None
         best_score = -1.0
         for sentence in candidates:
-            if sentence.key in picked_keys:
+            if sentence.key in picked:
                 continue
             score = scorer.cluster(sentence)
             if score > best_score:
                 best, best_score = sentence, score
         if best is None:
             continue
-        picked.append((best.key, best_score))
-        picked_keys.add(best.key)
+        picked[best.key] = best_score
         if len(picked) == need:
             break
 
-    fallback_used = False
-    if len(picked) < need:
-        fallback_used = True
-        remaining = [s for s in sentences if s.key not in picked_keys]
-        picked.extend(_top_principle(remaining, need - len(picked), scorer))
+    fallback_used = len(picked) < need
+    if fallback_used:
+        remaining = [s for s in sentences if s.key not in picked]
+        picked.update(_top_principle(remaining, need - len(picked), scorer))
 
-    return _result(Strategy.ENTITY_PYRAMID, picked, mask_count, fallback_used)
+    return _result(Strategy.ENTITY_PYRAMID, list(picked), mask_count, picked, fallback_used)
 
 
 def select_principle(
@@ -181,17 +181,7 @@ def select_principle(
     scorer: ClusterScorer,
 ) -> SelectionResult:
     picked = _top_principle(sentences, mask_count + copy_count, scorer)
-    return _result(Strategy.PRINCIPLE, picked, mask_count)
-
-
-def select_lead(
-    sentences: Sequence[Sentence],
-    mask_count: int,
-    copy_count: int,
-) -> SelectionResult:
-    require_document_order(sentences)
-    picked = [(s.key, 0.0) for s in sentences[: mask_count + copy_count]]
-    return _result(Strategy.LEAD, picked, mask_count, with_scores=False)
+    return _result(Strategy.PRINCIPLE, list(picked), mask_count, picked)
 
 
 def _cluster_rng(seed: int, cluster_id: str) -> random.Random:
@@ -201,40 +191,28 @@ def _cluster_rng(seed: int, cluster_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def select_random(
-    sentences: Sequence[Sentence],
-    mask_count: int,
-    copy_count: int,
-    seed: int,
-    cluster_id: str,
-) -> SelectionResult:
-    """Sample sentences with an RNG derived from (seed, cluster_id) so a
-    cluster's picks do not depend on processing order or worker count."""
-    require_document_order(sentences)
-    rng = _cluster_rng(seed, cluster_id)
-    chosen = rng.sample([s.key for s in sentences], mask_count + copy_count)
-    picked = [(key, 0.0) for key in chosen]
-    return _result(Strategy.RANDOM, picked, mask_count, with_scores=False)
-
-
 def select_sentences(
     sentences: Sequence[Sentence],
     config: SelectionConfig,
-    cluster_id: str = "",
     pyramid: Sequence[PyramidEntry] | None = None,
-    normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
 ) -> SelectionResult:
-    """Dispatch to the configured strategy with counts derived from the
-    cluster size.  ``pyramid`` is required for the entity strategy;
-    ``normalization`` is how the scoring strategies count n-grams."""
+    """Run the configured strategy with counts derived from the cluster
+    size.  ``pyramid`` is required for the entity strategy.  Lead takes
+    the first sentences; random samples with an RNG derived from the seed
+    and the sentences' cluster id, so a cluster's picks do not depend on
+    processing order or worker count."""
     total = len(sentences)
     mask_count = compute_mask_count(total, config.mask_ratio)
     copy_count = compute_copy_count(total, mask_count, config.copy_ratio)
+    need = mask_count + copy_count
     if config.strategy is Strategy.LEAD:
-        return select_lead(sentences, mask_count, copy_count)
+        require_document_order(sentences)
+        return _result(Strategy.LEAD, [s.key for s in sentences[:need]], mask_count)
     if config.strategy is Strategy.RANDOM:
-        return select_random(sentences, mask_count, copy_count, config.seed, cluster_id)
-    scorer = ClusterScorer(sentences, config.variant, normalization)
+        require_document_order(sentences)
+        rng = _cluster_rng(config.seed, sentences[0].cluster_id)
+        return _result(Strategy.RANDOM, rng.sample([s.key for s in sentences], need), mask_count)
+    scorer = ClusterScorer(sentences, config.variant, config.normalization)
     if config.strategy is Strategy.PRINCIPLE:
         return select_principle(sentences, mask_count, copy_count, scorer)
     if pyramid is None:

@@ -206,6 +206,70 @@ def word_runs_oracle(text):
     return runs
 
 
+# Words capitalized for grammatical reasons, not because they name
+# anything, as the rule extractor lists them.
+FUNCTION_WORDS_ORACLE = set(
+    """
+    a an the this that these those some any each every no
+    i you he she it we they me him her us them my your his its our their
+    who whom whose what which when where why how
+    and but or nor so yet for if as at by in of on to up with
+    from into onto over under after before during about against between
+    through within without along across behind beyond near
+    is are was were be been being am do does did has have had will would
+    can could may might must shall should
+    not only just even also still yet too very
+    however meanwhile moreover nevertheless nonetheless furthermore
+    finally then now here there yesterday today tomorrow
+    """.split()
+)
+
+
+def rule_pyramid_oracle(sentences):
+    """The rule extractor's pyramid from its documented rules, as
+    (entity, document frequency, locations) triples.
+
+    A mention is a maximal run of capitalized words, a year, or a
+    number with its unit.  A run that opens its sentence sheds its
+    leading function words, and a run of one function word is no
+    mention.  Mentions are grouped by their text with whitespace
+    collapsed and case folded; an entity seen in one document only is
+    dropped.  Entries are ordered by document frequency, highest first,
+    then by first (doc, sent) location, then by text.
+    """
+    places = {}
+    for s in sentences:
+        surfaces = []
+        for start, words in word_runs_oracle(s.text):
+            if start == 0:
+                while len(words) > 0 and words[0].casefold() in FUNCTION_WORDS_ORACLE:
+                    words = words[1:]
+            if len(words) == 0:
+                continue
+            if len(words) == 1 and words[0].casefold() in FUNCTION_WORDS_ORACLE:
+                continue
+            surfaces.append(" ".join(words))
+        for match in YEAR_RE_ORACLE.finditer(s.text):
+            surfaces.append(match.group())
+        for match in QUANTITY_RE_ORACLE.finditer(s.text):
+            surfaces.append(match.group())
+        for surface in surfaces:
+            entity = " ".join(surface.split()).casefold()
+            if entity not in places:
+                places[entity] = []
+            places[entity].append(_key(s))
+    entries = []
+    for entity, found in places.items():
+        docs = set()
+        for doc, _ in found:
+            docs.add(doc)
+        if len(docs) < 2:
+            continue
+        entries.append((entity, len(docs), tuple(sorted(set(found)))))
+    entries.sort(key=lambda e: (-e[1], e[2][0], e[0]))
+    return entries
+
+
 def round_half_up_oracle(x):
     import math
 

@@ -23,6 +23,8 @@ from pyramid_masker.pipeline import PipelineConfig, run_mask
 from pyramid_masker.porter import stem
 from pyramid_masker.selection import SelectionConfig, Strategy
 
+from oracles import rule_pyramid_oracle
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -38,14 +40,19 @@ def load_bench(name: str):
     return module
 
 
-def rules_pyramid(cluster: dict) -> list[str]:
-    """The rule extractor's pyramid over the generated sentences, as the
-    benchmark's checker builds it."""
-    sentences = [
+def generated_sentences(cluster: dict) -> list[Sentence]:
+    """A generated cluster's sentences, as the benchmark's checker reads them."""
+    return [
         Sentence(cluster["cluster_id"], d, j, text)
         for d, doc in enumerate(cluster["docs"])
         for j, text in enumerate(doc)
     ]
+
+
+def rules_pyramid(cluster: dict) -> list[str]:
+    """The rule extractor's pyramid over the generated sentences, as the
+    benchmark's checker builds it."""
+    sentences = generated_sentences(cluster)
     return [e.entity for e in build_pyramid(extract_entities(sentences), len(cluster["docs"]))]
 
 
@@ -71,3 +78,15 @@ def test_first_block_passes_the_benchmark_check(name):
         )
     if name == "news_provided":
         assert {bool(c["entities"]) for c in clusters} == {True, False}
+
+
+@pytest.mark.parametrize("name", ["long_pyramid", "news_provided", "small_lead"])
+def test_first_block_rule_pyramid_equals_the_oracle(name):
+    """On each generated cluster of the first block, the rule pyramid
+    equals ``rule_pyramid_oracle`` entry for entry."""
+    workloads = load_bench("workloads")
+    for cluster in workloads.generate(workloads.WORKLOADS[name], 1)[: workloads.BLOCK]:
+        sentences = generated_sentences(cluster)
+        pyramid = build_pyramid(extract_entities(sentences), len(cluster["docs"]))
+        found = [(e.entity, e.doc_frequency, e.locations) for e in pyramid]
+        assert found == rule_pyramid_oracle(sentences), cluster["cluster_id"]

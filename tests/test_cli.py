@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pyramid_masker
 from pyramid_masker import ClusterScorer, SelectionConfig, cli, pipeline, segment_cluster
@@ -415,9 +416,24 @@ def test_setting_targets_are_unique_dataclass_fields():
 
 
 def test_attention_window_flag_is_gone(capsys):
+    """A bad command line is one ``fatal`` line naming what was wrong, with
+    exit 1, as a bad value in a config file is; ``--help`` still exits 0."""
+    for argv, named in [
+        (["mask", "--attention-window", "512"], "--attention-window"),
+        (["mask", "--strategy", "bogus"], "--strategy"),
+        (["mask", "--mask-ratio", "abc"], "--mask-ratio"),
+        (["stats", "--bogus"], "--bogus"),
+        (["bogus"], "'bogus'"),
+    ]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        events = [json.loads(line) for line in captured.err.splitlines()]
+        assert [e["event"] for e in events] == ["fatal"], argv
+        assert named in events[0]["reason"] and "traceback" not in events[0], argv
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["mask", "--attention-window", "512"])
-    assert exc.value.code == 2
+        main(["mask", "--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize(
@@ -433,6 +449,9 @@ def test_attention_window_flag_is_gone(capsys):
         ('{"seed": 1', "not valid JSON"),
         pytest.param("[" * 100_000, "not valid JSON", id="nested"),
         pytest.param('{"doc_sep_token": "\\ud800"}', "'doc_sep_token'", id="surrogate"),
+        ("[1]", "must hold a JSON object"),
+        ('{"seed": [1]}', "'seed'"),
+        ('{"doc_sep_token": {"a": 1}}', "'doc_sep_token'"),
     ],
 )
 def test_bad_config_file_value_is_fatal(corpus_path, tmp_path, capsys, text, named):
@@ -714,6 +733,8 @@ INSPECT_RECORD = {"cluster_id": "x", "input": ["<doc-sep>", "[sent-mask]"], "tar
         {"meta": {"scores": {"0:1": "high"}}},
         {"input": "abc", "meta": {"scores": [1]}},
         {"target": ["Hi.", 1]},
+        # a score no float can hold
+        {"meta": {"scores": {"0:1": 10**400}}},
     ],
 )
 def test_inspect_skips_a_record_of_the_wrong_shape(tmp_path, capsys, bad):
@@ -802,6 +823,90 @@ def test_mask_skips_a_lone_surrogate_with_a_pool(multichunk_corpus_path, tmp_pat
     assert errors == [
         {"event": "record_error", "line": 1, "reason": "record holds a lone UTF-16 surrogate"}
     ]
+
+
+# JSON edge values, each as the text of one JSON value: lone surrogates,
+# integers no float can hold, the non-finite literals Python's reader
+# accepts, nesting too deep to decode, and plain values of each type.
+EDGE_VALUES = [
+    r'"\ud800"', r'"x\udc00"', "1" + "0" * 400, "-1" + "0" * 400,
+    "NaN", "Infinity", "-Infinity", "[" * 3000 + "]" * 3000,
+    "true", "null", '"text"', "[]", "{}", "-1", "1.5",
+]
+
+_CLUSTER = '{"cluster_id": "bad", "documents": ["Fine words here."], "entities": %s}'
+_SUMMARY = '{"summary_id": "bad", "gold_len": 5, "sys_len": 5, "scus": %s}'
+_EXAMPLE = '{"cluster_id": "bad", "input": ["a"], "target": ["b"], "meta": {"scores": %s}}'
+
+# For each subcommand, records with "%s" where a value of one type is
+# needed, each with the EDGE_VALUES that are of that type there.
+EDGE_PLACES = {
+    "mask": [
+        ("%s", {"{}"}),
+        (_CLUSTER, {"null", "[]"}),
+        (_CLUSTER % "[%s]", set()),
+        (_CLUSTER % '[{"surface": "Fine", "doc": %s}]', set()),
+        (_CLUSTER % '[{"surface": %s, "doc": 0}]', {'"text"'}),
+    ],
+    "eval-pyramid": [
+        ("%s", {"{}"}),
+        (_SUMMARY, {"[]"}),
+        (_SUMMARY % "[%s]", set()),
+        (_SUMMARY % '[{"id": "a", "weight": %s, "covered": true}]', set()),
+        (_SUMMARY % '[{"id": "a", "weight": 1, "covered": %s}]', {"true"}),
+        (_SUMMARY % '[{"id": "a", "weight": 1, "covered": [%s]}]', {"true"}),
+    ],
+    "inspect": [
+        ("%s", {"{}"}),
+        (_EXAMPLE, {"{}"}),
+        (_EXAMPLE % '{"0:0": %s}', {"-1", "1.5", "NaN", "Infinity", "-Infinity"}),
+        ('{"cluster_id": "bad", "input": %s}', {"[]"}),
+        ('{"cluster_id": "bad", "input": [%s]}', {'"text"'}),
+    ],
+}
+EDGE_PLACES["stats"] = EDGE_PLACES["score-sentence"] = EDGE_PLACES["mask"]
+EDGE_LINES = [
+    (command, place % value)
+    for command, places in EDGE_PLACES.items()
+    for place, of_the_type in places
+    for value in EDGE_VALUES
+    if value not in of_the_type
+]
+
+
+def _run(capsys, argv: list[str]) -> tuple[int, str, list[dict]]:
+    """Exit code, stdout and the stderr events of ``main(argv)``; every
+    stderr line must be a JSON object without a traceback."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert all("traceback" not in event for event in events), events
+    return code, captured.out, events
+
+
+@settings(
+    deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(EDGE_LINES))
+def test_a_line_of_edge_values_is_one_record_error(tmp_path, capsys, case):
+    """A line with a JSON edge value where its reader needs another type,
+    before one valid record: without --strict it is one record_error and
+    the output and exit code are those of the valid record alone; under
+    --strict it is one fatal.  No line ends in a traceback."""
+    command, bad = case
+    valid = VALID_RECORDS[command].encode() + b"\n"
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(valid)
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(bad.encode() + b"\n" + valid)
+    code, out, events = _run(capsys, [command, "--input", str(clean)])
+    bad_code, bad_out, bad_events = _run(capsys, [command, "--input", str(path)])
+    assert (bad_code, bad_out) == (code, out)
+    assert [e["event"] for e in bad_events] == ["record_error", *(e["event"] for e in events)]
+    assert bad_events[0]["line"] == 1
+    if command in ("mask", "stats", "eval-pyramid"):
+        code, out, events = _run(capsys, [command, "--strict", "--input", str(path)])
+        assert (code, out, [e["event"] for e in events]) == (1, "", ["fatal"])
 
 
 def test_score_sentence_fault_is_fatal(corpus_path, monkeypatch, capsys):

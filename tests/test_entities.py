@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 import sys
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pyramid_masker import (
     DocumentCluster,
@@ -15,6 +17,7 @@ from pyramid_masker import (
     PyramidEntry,
     build_pyramid,
     extract_entities,
+    load_clusters,
     segment_cluster,
 )
 from pyramid_masker import entities
@@ -40,8 +43,11 @@ from oracles import (
     YEAR_RE_ORACLE,
     contains_entity_oracle,
     provided_locator_oracle,
+    rule_pyramid_oracle,
     word_runs_oracle,
 )
+from synth import punctuated_cluster, synthetic_cluster
+from test_golden import _corpus, _punctuated_corpus
 
 
 def mentions_of(document: str, doc_index: int = 0):
@@ -443,3 +449,29 @@ def test_provided_locator_equals_the_oracle(annotated):
         {"event": "entity_dropped", "cluster_id": "c", "surface": surface, "doc": doc}
         for surface, doc in dropped
     ]
+
+
+# ---------------------------------------------------------------------------
+# the rule pyramid against its oracle
+
+
+def rule_pyramid(sentences, num_docs):
+    """The program's rule pyramid, in the oracle's shape."""
+    pyramid = build_pyramid(extract_entities(sentences), num_docs)
+    return [(e.entity, e.doc_frequency, e.locations) for e in pyramid]
+
+
+@pytest.mark.parametrize("corpus", [_corpus, _punctuated_corpus], ids=["golden", "punctuated"])
+def test_rule_pyramid_equals_the_oracle_on_the_golden_corpora(corpus):
+    for cluster in load_clusters(io.BytesIO(corpus())):
+        sentences = segment_cluster(cluster)
+        expected = rule_pyramid_oracle(sentences)
+        assert rule_pyramid(sentences, len(cluster.documents)) == expected, cluster.cluster_id
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([synthetic_cluster, punctuated_cluster]))
+def test_rule_pyramid_equals_the_oracle(seed, make_cluster):
+    cluster = make_cluster(random.Random(seed), "c")
+    sentences = segment_cluster(cluster)
+    assert rule_pyramid(sentences, len(cluster.documents)) == rule_pyramid_oracle(sentences)

@@ -119,11 +119,11 @@ def test_mask_output_digest(strategy):
 @pytest.mark.parametrize("strategy", list(RAW_NORMALIZATION_SHA256), ids=lambda s: s.value)
 def test_raw_normalization_digest(strategy):
     sink = io.StringIO()
+    normalization = NormalizationConfig(
+        lowercase=False, strip_punctuation=False, stemming=Stemming.NONE
+    )
     config = PipelineConfig(
-        normalization=NormalizationConfig(
-            lowercase=False, strip_punctuation=False, stemming=Stemming.NONE
-        ),
-        selection=SelectionConfig(strategy=strategy, seed=7),
+        selection=SelectionConfig(strategy=strategy, seed=7, normalization=normalization)
     )
     report = run_mask(io.BytesIO(_corpus()), sink, config, diagnostics=io.StringIO())
     assert report.processed == 47 and report.skipped == 0

@@ -95,6 +95,7 @@ def test_blank_lines_skipped_without_error():
             {"cluster_id": "a", "documents": ["x"], "entities": [{"surface": "x", "doc": True}]},
             "non-integer doc",
         ),
+        ({"cluster_id": "a", "documents": ["x"], "entities": [3]}, "entity 0 is not an object"),
     ],
 )
 def test_bad_records_are_reported_and_skipped(record, reason_fragment):

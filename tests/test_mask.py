@@ -233,12 +233,7 @@ def pipeline_example(cluster, config=MaskConfig(), strategy=Strategy.LEAD):
     pyramid = None
     if strategy is Strategy.ENTITY_PYRAMID:
         pyramid = build_pyramid(extract_entities(sentences), len(cluster.documents))
-    picks = select_sentences(
-        sentences,
-        SelectionConfig(strategy=strategy),
-        cluster_id=cluster.cluster_id,
-        pyramid=pyramid,
-    )
+    picks = select_sentences(sentences, SelectionConfig(strategy=strategy), pyramid)
     documents = truncate_per_document(
         sentences, config.input_token_limit, len(cluster.documents)
     )
@@ -322,6 +317,31 @@ def test_roundtrip_flags_nonsurviving_provenance():
     result = roundtrip_check(replace(example, provenance=prov), sentences, MaskConfig())
     assert not result
     assert "non-surviving" in result.diagnostic
+
+
+def _without_mask_tokens(example):
+    """The example's input with its mask tokens dropped and the attention
+    indices moved to where the separators now are."""
+    tokens = tuple(t for t in example.input_tokens if t != "[sent-mask]")
+    separators = tuple(i for i, t in enumerate(tokens) if t == "<doc-sep>")
+    return replace(example, input_tokens=tokens, global_attention_indices=separators)
+
+
+@pytest.mark.parametrize(
+    "tamper, config, diagnostic",
+    [
+        (lambda e: replace(e, target_tokens=e.target_tokens[:-1]), MaskConfig(), "target: length"),
+        (_without_mask_tokens, MaskConfig(), "masked sentences never substituted"),
+        # three documents leave no token of budget under a limit of three
+        (lambda e: e, MaskConfig(input_token_limit=3), "cluster untruncatable"),
+    ],
+    ids=["short-target", "unsubstituted", "untruncatable"],
+)
+def test_roundtrip_names_the_divergence(tamper, config, diagnostic):
+    example, sentences = pipeline_example(WILDFIRE_CLUSTER)
+    result = roundtrip_check(tamper(example), sentences, config)
+    assert not result
+    assert diagnostic in result.diagnostic
 
 
 @settings(deadline=None, max_examples=50)

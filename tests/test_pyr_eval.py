@@ -166,6 +166,7 @@ def test_explicit_length_beats_text():
         {"summary_id": ""},
         {"summary_id": 7},
         {"scus": "nope"},
+        {"scus": ["x"]},
         {"scus": [{"id": "x", "weight": 0, "covered": True}]},
         {"scus": [{"id": "x", "weight": True, "covered": True}]},
         {"scus": [{"id": "x", "weight": 1, "covered": "yes"}]},

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +24,7 @@ from pyramid_masker import (
 )
 from pyramid_masker.entities import fold_words
 from pyramid_masker.segment import Sentence
-from pyramid_masker.selection import (
-    select_entity_pyramid,
-    select_lead,
-    select_principle,
-    select_random,
-)
+from pyramid_masker.selection import select_entity_pyramid, select_principle
 
 from oracles import contains_entity_oracle, counts_oracle, entity_pyramid_oracle
 from synth import ENTITY_KEYS, QUOTE_KEYS, WILDFIRE_CLUSTER, synthetic_cluster
@@ -52,6 +48,11 @@ def test_mask_count_capped_below_total():
     # rounding would ask for 2 of 2; the cap leaves one sentence unmasked
     assert compute_mask_count(2, 0.9) == 1
     assert compute_mask_count(1, 0.9) == 1
+
+
+def test_mask_count_needs_a_sentence():
+    with pytest.raises(ValueError, match="no sentences"):
+        compute_mask_count(0, 0.15)
 
 
 def test_copy_count_never_exceeds_leftover():
@@ -91,9 +92,13 @@ def wildfire_sentences():
     return segment_cluster(WILDFIRE_CLUSTER)
 
 
+# Two sentences masked and one copied of the wildfire cluster's nine.
+TWO_AND_ONE = {"mask_ratio": 0.2, "copy_ratio": 0.1}
+
+
 def test_lead_takes_cluster_prefix():
     sentences = wildfire_sentences()
-    result = select_lead(sentences, 2, 1)
+    result = select_sentences(sentences, SelectionConfig(strategy=Strategy.LEAD, **TWO_AND_ONE))
     assert result.strategy is Strategy.LEAD
     assert result.masked == ((0, 0), (0, 1))
     assert result.copied == ((0, 2),)
@@ -103,7 +108,7 @@ def test_lead_takes_cluster_prefix():
 def _select(strategy):
     pyramid = build_pyramid(extract_entities(wildfire_sentences()), 3)
     config = SelectionConfig(strategy=strategy)
-    return lambda sentences: select_sentences(sentences, config, "wildfire", pyramid)
+    return lambda sentences: select_sentences(sentences, config, pyramid)
 
 
 # Every function whose answer depends on the order of the list it is given.
@@ -111,8 +116,6 @@ ORDER_DEPENDENT = {
     "select_entity_pyramid": lambda sentences: select_entity_pyramid(
         sentences, [PyramidEntry("colorado", 2, ())], 1, 1, ClusterScorer(wildfire_sentences())
     ),
-    "select_lead": lambda sentences: select_lead(sentences, 2, 1),
-    "select_random": lambda sentences: select_random(sentences, 2, 1, 7, "wildfire"),
     **{f"select_sentences-{s.value}": _select(s) for s in Strategy},
     "ClusterScorer": ClusterScorer,
     "truncate_per_document": lambda sentences: truncate_per_document(sentences, 4096, 3),
@@ -144,17 +147,20 @@ def test_principle_ranking_ignores_presentation_order():
 
 def test_random_is_deterministic_per_cluster():
     sentences = wildfire_sentences()
-    a = select_random(sentences, 2, 1, seed=7, cluster_id="wildfire")
-    b = select_random(sentences, 2, 1, seed=7, cluster_id="wildfire")
+    config = SelectionConfig(strategy=Strategy.RANDOM, seed=7, **TWO_AND_ONE)
+    a = select_sentences(sentences, config)
+    b = select_sentences(sentences, config)
     assert a == b
     assert len(a.masked) == 2 and len(a.copied) == 1
 
 
 def test_random_varies_with_seed_and_cluster_id():
     sentences = wildfire_sentences()
-    base = select_random(sentences, 3, 0, seed=7, cluster_id="wildfire")
-    other_seed = select_random(sentences, 3, 0, seed=8, cluster_id="wildfire")
-    other_id = select_random(sentences, 3, 0, seed=7, cluster_id="elsewhere")
+    config = SelectionConfig(strategy=Strategy.RANDOM, seed=7, mask_ratio=0.3, copy_ratio=0.0)
+    base = select_sentences(sentences, config)
+    assert len(base.masked) == 3 and base.copied == ()
+    other_seed = select_sentences(sentences, replace(config, seed=8))
+    other_id = select_sentences([replace(s, cluster_id="elsewhere") for s in sentences], config)
     assert base != other_seed
     assert base != other_id
 
@@ -296,7 +302,7 @@ def test_dispatcher_requires_pyramid():
     sentences = wildfire_sentences()
     config = SelectionConfig(strategy=Strategy.ENTITY_PYRAMID)
     with pytest.raises(ValueError):
-        select_sentences(sentences, config, cluster_id="wildfire")
+        select_sentences(sentences, config)
 
 
 def test_dispatcher_routes_all_strategies():
@@ -304,9 +310,7 @@ def test_dispatcher_routes_all_strategies():
     pyramid = build_pyramid(extract_entities(sentences), 3)
     for strategy in Strategy:
         config = SelectionConfig(strategy=strategy)
-        result = select_sentences(
-            sentences, config, cluster_id="wildfire", pyramid=pyramid
-        )
+        result = select_sentences(sentences, config, pyramid)
         assert result.strategy is strategy
         assert len(result.masked) == 1
         assert len(result.copied) == 1
@@ -329,9 +333,7 @@ def build_inputs(seed: int):
 def test_entity_pyramid_matches_oracle(seed):
     cluster, sentences, pyramid = build_inputs(seed)
     config = SelectionConfig()
-    result = select_sentences(
-        sentences, config, cluster_id=cluster.cluster_id, pyramid=pyramid
-    )
+    result = select_sentences(sentences, config, pyramid)
     masked, copied, fallback, scores = entity_pyramid_oracle(
         sentences,
         [e.entity for e in pyramid],
@@ -355,9 +357,7 @@ def test_entity_pyramid_matches_oracle(seed):
 def test_selection_invariants(seed, strategy):
     cluster, sentences, pyramid = build_inputs(seed)
     config = SelectionConfig(strategy=strategy)
-    result = select_sentences(
-        sentences, config, cluster_id=cluster.cluster_id, pyramid=pyramid
-    )
+    result = select_sentences(sentences, config, pyramid)
     masked, copied = list(result.masked), list(result.copied)
     assert masked == sorted(masked)
     assert copied == sorted(copied)
@@ -371,9 +371,7 @@ def test_selection_invariants(seed, strategy):
 @given(st.integers(0, 2**32 - 1))
 def test_pyramid_picks_contain_an_entity_unless_fallback(seed):
     cluster, sentences, pyramid = build_inputs(seed)
-    result = select_sentences(
-        sentences, SelectionConfig(), cluster_id=cluster.cluster_id, pyramid=pyramid
-    )
+    result = select_sentences(sentences, SelectionConfig(), pyramid)
     if result.fallback_used or not pyramid:
         return
     by_key = {s.key: s for s in sentences}
