@@ -270,6 +270,68 @@ def rule_pyramid_oracle(sentences):
     return entries
 
 
+# The characters a terminator run is made of and may carry after it.
+SENTENCE_TERMINATORS_ORACLE = ".?!"
+SENTENCE_CLOSERS_ORACLE = "\"'’”)]}»›"
+
+
+def split_oracle(document, abbreviations):
+    """The sentence texts of ``document`` by the documented rule.
+
+    A sentence ends after a run of ``.?!`` plus the closing quotes and
+    brackets right after it, when whitespace or the end of the text
+    follows.  A run that is one period ends nothing when the whitespace
+    token it closes, less its opening quotes and brackets, is in
+    ``abbreviations`` in lower case, or when a digit precedes it and
+    the first character past the whitespace is a digit.  The pieces
+    between ends are stripped and the empty ones dropped.
+    """
+    n = len(document)
+    ends = []
+    i = 0
+    while i < n:
+        if document[i] not in SENTENCE_TERMINATORS_ORACLE:
+            i += 1
+            continue
+        run_start = i
+        while i < n and document[i] in SENTENCE_TERMINATORS_ORACLE:
+            i += 1
+        run_length = i - run_start
+        while i < n and document[i] in SENTENCE_CLOSERS_ORACLE:
+            i += 1
+        if i < n and not document[i].isspace():
+            continue
+        if run_length == 1 and document[run_start] == ".":
+            token_start = run_start
+            while token_start > 0 and not document[token_start - 1].isspace():
+                token_start -= 1
+            word = document[token_start : run_start + 1]
+            while len(word) > 0 and word[0] in ORACLE_LEADING_PUNCT:
+                word = word[1:]
+            if word.lower() in abbreviations:
+                continue
+            following = i
+            while following < n and document[following].isspace():
+                following += 1
+            if (
+                run_start > 0
+                and document[run_start - 1].isdigit()
+                and following < n
+                and document[following].isdigit()
+            ):
+                continue
+        ends.append(i)
+    ends.append(n)
+    texts = []
+    start = 0
+    for k in range(len(ends)):
+        piece = document[start : ends[k]].strip()
+        if len(piece) > 0:
+            texts.append(piece)
+        start = ends[k]
+    return texts
+
+
 def round_half_up_oracle(x):
     import math
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import string
+import sys
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pyramid_masker import (
     DocumentCluster,
@@ -15,12 +17,15 @@ from pyramid_masker import (
     split_sentences,
 )
 from pyramid_masker.segment import (
+    CLOSING_PUNCT,
+    OPENING_PUNCT,
     Sentence,
     default_abbreviations,
     load_abbreviations,
     require_document_order,
 )
 
+from oracles import split_oracle
 from synth import long_cluster, punctuated_cluster, synthetic_cluster
 
 RAW = NormalizationConfig(lowercase=False, strip_punctuation=False, stemming=Stemming.NONE)
@@ -205,6 +210,59 @@ def test_split_never_drops_content(document):
     sentences = split_sentences(document, 0)
     rebuilt = "".join(s.text for s in sentences)
     assert "".join(rebuilt.split()) == "".join(document.split())
+
+
+# Every ``str.isspace`` code point, which the splitter takes as whitespace.
+WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+# Single characters the split rule decides on: whitespace, terminators,
+# quotes and brackets, ASCII digits, "²" (``str.isdigit`` but not ``\d``)
+# and one plain letter.
+_SPLIT_CHARS = WHITESPACE + ".?!" + OPENING_PUNCT + CLOSING_PUNCT + string.digits + "²a"
+# Stems of packaged abbreviations, drawn in mixed case.
+_STEMS = ["Dr", "U.S", "e.g", "No"]
+
+
+@st.composite
+def _mixed_case_stem(draw):
+    stem = draw(st.sampled_from(_STEMS))
+    upper = draw(st.lists(st.booleans(), min_size=len(stem), max_size=len(stem)))
+    return "".join(c.upper() if up else c.lower() for c, up in zip(stem, upper))
+
+
+@st.composite
+def _split_documents(draw):
+    """Word-like tokens, each of opening marks, a stem, digits or a
+    letter, terminators and closing marks, with whitespace runs, some
+    empty, between them."""
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        parts.append(draw(st.text(OPENING_PUNCT, max_size=2)))
+        parts.append(draw(st.one_of(_mixed_case_stem(), st.text(string.digits + "²a", max_size=2))))
+        parts.append(draw(st.text(".?!", max_size=3)))
+        parts.append(draw(st.text(CLOSING_PUNCT, max_size=2)))
+        parts.append(draw(st.text(WHITESPACE, max_size=2)))
+    return "".join(parts)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        _split_documents(),
+        st.lists(st.one_of(st.sampled_from(_SPLIT_CHARS), _mixed_case_stem()), max_size=40).map(
+            "".join
+        ),
+    )
+)
+@example("((((Dr. Smith left. He came.")
+@example("It cost 7.\u3000² more. Fine.")
+@example("It rose ².\u20058 more. Fine.")
+@example("x.\". Next")
+@example("u.S.) then. dR.\u2028No. e.G.")
+@example("Why?!\u201d\x1cYes...\x85")
+def test_split_matches_oracle(document):
+    assert len(WHITESPACE) == 29
+    abbreviations = default_abbreviations()
+    assert [s.text for s in split_sentences(document, 0)] == split_oracle(document, abbreviations)
 
 
 @given(st.text(max_size=60))
