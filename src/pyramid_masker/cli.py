@@ -14,9 +14,11 @@ which skips a bad line as a ``record_error`` event (fatal under
 ``--strict``).  ``main`` ends any subcommand's fault as one ``fatal``
 line carrying the traceback, Ctrl-C as a ``fatal`` line with the
 reason ``interrupted``, and a bad command line as a ``fatal`` line
-naming what was wrong; all exit 1.  ``mask`` and ``score-sentence``
-build their shared settings from one table, ``SETTINGS``; in both, an
-empty ``--abbreviations`` is fatal.  Settings resolve as flags over
+naming what was wrong; all exit 1.  ``mask`` refuses, the same way, an
+``--output`` that is the file its input is read from, and leaves that
+file as it was.  ``mask`` and ``score-sentence`` build their shared
+settings from one table, ``SETTINGS``; in both, an empty
+``--abbreviations`` is fatal.  Settings resolve as flags over
 config-file values over the config dataclasses' defaults.  The config
 file is a flat JSON object whose keys are the ``mask`` flag names, with
 hyphens or underscores.  Its values are JSON scalars of the flag's type,
@@ -27,19 +29,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from collections import defaultdict
-from contextlib import ExitStack
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict
 from enum import EnumMeta
 from functools import partial
 from operator import not_
-from typing import IO, Iterable, NoReturn
+from typing import IO, Callable, Iterable, NoReturn
 
 from .entities import EntitySource
 from .ingest import (
-    LONE_SURROGATE, CorpusError, RecordError, compute_corpus_stats, load_clusters, read_records,
+    LONE_SURROGATE, CorpusError, RecordError, compute_corpus_stats, fits_float, is_json_int,
+    load_clusters, read_records,
 )
 from .mask import MaskConfig
 from .pipeline import PipelineConfig, run_mask
@@ -58,31 +62,34 @@ def _record_error(error: RecordError) -> None:
     print(json.dumps(error.event()), file=sys.stderr)
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _open_source(path: str) -> AbstractContextManager[IO[bytes]]:
+    """``path`` opened for reading, or stdin for ``-``, to enter in a ``with``."""
+    return nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _is_float(value: object) -> bool:
-    """Whether ``value`` is a number that a float can hold."""
-    if not _is_number(value):
-        return False
+def _open_sink(path: str, source: IO[bytes]) -> AbstractContextManager[IO[str]]:
+    """``path`` opened for writing, or stdout for ``-``, to enter in a
+    ``with``.  Raises ``CorpusError`` when ``path`` is the file that
+    ``source`` reads, which opening it would truncate."""
+    if path == "-":
+        return nullcontext(sys.stdout)
     try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
+        same = os.path.samestat(os.fstat(source.fileno()), os.stat(path))
+    except (OSError, ValueError):  # no such file yet, or a source with no file
+        same = False
+    if same:
+        raise CorpusError(f"--output {path} is the input file; it was left as it was")
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _open_source(path: str, stack: ExitStack) -> IO[bytes]:
-    if path == "-":
-        return sys.stdin.buffer
-    return stack.enter_context(open(path, "rb"))
-
-
-def _open_sink(path: str, stack: ExitStack) -> IO[str]:
-    if path == "-":
-        return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+def _pick(items: Iterable, id_of: Callable, args: argparse.Namespace, noun: str, first: str):
+    """The first of ``items`` whose id is ``--cluster-id``, or the first
+    of all without one; raises ``CorpusError`` when there is none."""
+    for item in items:
+        if args.cluster_id in (None, id_of(item)):
+            return item
+    wanted = args.cluster_id if args.cluster_id is not None else f"<first {first}>"
+    raise CorpusError(f"{noun} {wanted!r} not found in {args.input}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +149,14 @@ def _config_value(key: str, value, setting: Setting):
     """A config-file value, checked against its flag and converted as the
     flag converts its text.  Switches take true/false, integer settings
     whole numbers, number settings numbers and the rest strings."""
-    number = _is_number(value)
     as_type = setting.options.get("type")
     if setting.options.get("action") == "store_true":
         kind, ok = "true or false", isinstance(value, bool)
     elif as_type is int:
-        kind, ok = "an integer", number and (isinstance(value, int) or value.is_integer())
+        kind = "an integer"
+        ok = is_json_int(value) or (isinstance(value, float) and value.is_integer())
     elif as_type is float:
-        kind, ok = "a number", number
+        kind, ok = "a number", fits_float(value)
     else:
         kind, ok = "a string", isinstance(value, str)
     if not ok:
@@ -210,17 +217,13 @@ def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_mask(args: argparse.Namespace) -> int:
     config = _build_pipeline_config(args)
-    with ExitStack() as stack:
-        source = _open_source(args.input, stack)
-        sink = _open_sink(args.output, stack)
+    with _open_source(args.input) as source, _open_sink(args.output, source) as sink:
         return run_mask(source, sink, config).exit_code
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        source = _open_source(args.input, stack)
-        clusters = load_clusters(source, None if args.strict else _record_error)
-        stats = compute_corpus_stats(clusters)
+    with _open_source(args.input) as source:
+        stats = compute_corpus_stats(load_clusters(source, None if args.strict else _record_error))
     print(json.dumps(stats.to_json_dict()))
     return 0 if stats.example_count else 2
 
@@ -228,13 +231,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_score_sentence(args: argparse.Namespace) -> int:
     config = _build_pipeline_config(args)
     variant = config.selection.variant
-    with ExitStack() as stack:
-        source = _open_source(args.input, stack)
+    with _open_source(args.input) as source:
         clusters = load_clusters(source, on_error=_record_error)
-        target = next((c for c in clusters if args.cluster_id in (None, c.cluster_id)), None)
-    if target is None:
-        wanted = args.cluster_id if args.cluster_id is not None else "<first cluster>"
-        return _fatal(f"cluster {wanted!r} not found in {args.input}")
+        target = _pick(clusters, lambda c: c.cluster_id, args, "cluster", "cluster")
     sentences = segment_cluster(target, abbreviations=config.abbreviations)
     scorer = ClusterScorer(sentences, variant, config.selection.normalization)
     rows = []
@@ -263,8 +262,7 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
 def cmd_eval_pyramid(args: argparse.Namespace) -> int:
     aggregation = CoverageAggregation(args.aggregation)
     len_unit = LengthUnit(args.len_unit)
-    with ExitStack() as stack:
-        source = _open_source(args.input, stack)
+    with _open_source(args.input) as source:
         parse = partial(record_score, aggregation=aggregation, len_unit=len_unit)
         scored = list(read_records(source, parse, None if args.strict else _record_error))
     results = [{"summary_id": summary_id, **asdict(score)} for summary_id, score in scored]
@@ -282,7 +280,7 @@ def _check_example(record: dict) -> dict:
     scores = meta.get("scores", {})
     if not isinstance(scores, dict):
         raise ValueError("meta.scores must be an object")
-    if not all(map(_is_float, scores.values())):
+    if not all(map(fits_float, scores.values())):
         raise ValueError("every score in meta.scores must be a number a float can hold")
     for name in ("input", "target"):
         tokens = record.get(name, [])
@@ -292,13 +290,9 @@ def _check_example(record: dict) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        source = _open_source(args.input, stack)
+    with _open_source(args.input) as source:
         records = read_records(source, _check_example, on_error=_record_error)
-        record = next((r for r in records if args.cluster_id in (None, r.get("cluster_id"))), None)
-    if record is None:
-        wanted = args.cluster_id if args.cluster_id is not None else "<first record>"
-        return _fatal(f"example {wanted!r} not found in {args.input}")
+        record = _pick(records, lambda r: r.get("cluster_id"), args, "example", "record")
     meta = record.get("meta", {})
     lines = [
         f"cluster_id        {record.get('cluster_id')}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, IO, Iterable, Iterator, TypeVar
 
@@ -29,6 +29,22 @@ T = TypeVar("T")
 # each valid pair into one character: one left in a string stands alone.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
+def is_json_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def fits_float(value: object) -> bool:
+    """Whether a decoded JSON value is a number that a float can hold."""
+    if not (is_json_int(value) or isinstance(value, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 class CorpusError(ValueError):
@@ -102,7 +118,7 @@ def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
             doc = entry.get("doc")
             if not isinstance(surface, str) or not surface.strip():
                 raise ValueError(f"entity {i} has no surface text")
-            if not isinstance(doc, int) or isinstance(doc, bool):
+            if not is_json_int(doc):
                 raise ValueError(f"entity {i} has a non-integer doc index")
             if not 0 <= doc < len(documents):
                 raise ValueError(f"entity {i} references document {doc} of {len(documents)}")
@@ -167,13 +183,7 @@ class CorpusStats:
     mean_summary_length: float | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"example_count": self.example_count}
-        if self.mean_docs_per_cluster is not None:
-            out["mean_docs_per_cluster"] = self.mean_docs_per_cluster
-        if self.mean_source_length is not None:
-            out["mean_source_length"] = self.mean_source_length
-        if self.mean_summary_length is not None:
-            out["mean_summary_length"] = self.mean_summary_length
+        out = {name: value for name, value in asdict(self).items() if value is not None}
         if len(out) > 1:
             out["length_unit"] = "whitespace_tokens"
         return out

@@ -136,19 +136,19 @@ def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
     at most two chunks per process in flight.
 
     Before a pool starts, one cluster more than a chunk is read.  An
-    input of one chunk or less, like a one-worker run, stays in this
-    process and never loads multiprocessing.
+    input of one chunk or less, like a one-worker run or a run with one
+    usable CPU, stays in this process and never loads multiprocessing.
     """
     items = iter(items)
     head = list(islice(items, CHUNK_SIZE + 1)) if config.workers > 1 else []
     items = chain(head, items)
-    if len(head) <= CHUNK_SIZE:
+    workers = min(config.workers, _usable_cpus()) if len(head) > CHUNK_SIZE else 1
+    if workers == 1:
         for cluster, events in items:
             yield _process_one(cluster, events, config)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(config.workers, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) as pool:
         inflight: deque = deque()
         max_inflight = workers * 2

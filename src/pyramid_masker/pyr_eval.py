@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .ingest import fits_float, is_json_int
+
 
 class CoverageAggregation(Enum):
     MEAN = "mean"
@@ -76,20 +78,13 @@ def aggregate_coverage(
     return positive / len(judgments)
 
 
-def _as_float(value: int, name: str) -> float:
-    """``value`` as a float; raises ValueError naming ``name`` if it is too large."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
-
-
 def _summary_length(record: dict, side: str, len_unit: LengthUnit) -> int:
     explicit = record.get(f"{side}_len")
     if explicit is not None:
-        if not isinstance(explicit, int) or isinstance(explicit, bool):
+        if not is_json_int(explicit):
             raise ValueError(f"{side}_len must be an integer")
-        _as_float(explicit, f"{side}_len")
+        if not fits_float(explicit):
+            raise ValueError(f"{side}_len is too large for a float")
         return explicit
     text = record.get(f"{side}_text")
     if not isinstance(text, str):
@@ -109,9 +104,8 @@ def record_score(
     Expected shape: ``{summary_id, gold_len | gold_text,
     sys_len | sys_text, scus: [{id, weight, covered}]}`` where
     ``covered`` is a boolean or a per-annotator list of booleans.
+    ``read_records`` has checked that the record is a JSON object.
     """
-    if not isinstance(record, dict):
-        raise ValueError("record is not a JSON object")
     summary_id = record.get("summary_id")
     if not isinstance(summary_id, str) or not summary_id:
         raise ValueError("record needs a non-empty summary_id")
@@ -123,7 +117,7 @@ def record_score(
         if not isinstance(scu, dict):
             raise ValueError("each SCU must be an object")
         weight = scu.get("weight")
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+        if not is_json_int(weight) or weight < 1:
             raise ValueError(f"SCU weight must be a positive integer, got {weight!r}")
         covered = scu.get("covered")
         if isinstance(covered, bool):
@@ -132,7 +126,9 @@ def record_score(
             coverage = aggregate_coverage(covered, aggregation)
         else:
             raise ValueError(f"SCU covered must be a boolean or list of booleans, got {covered!r}")
-        units.append((_as_float(weight, "SCU weight"), coverage))
+        if not fits_float(weight):
+            raise ValueError("SCU weight is too large for a float")
+        units.append((float(weight), coverage))
     gold_len = _summary_length(record, "gold", len_unit)
     sys_len = _summary_length(record, "sys", len_unit)
     return summary_id, weighted_coverage_score(units, gold_len, sys_len)

@@ -126,9 +126,10 @@ def load_abbreviations(path) -> frozenset[str]:
 # terminator run may carry closers, and ``entities`` strips both.
 OPENING_PUNCT = "\"'([{‘“«‹"
 CLOSING_PUNCT = "\"'’”)]}»›"
-# A terminator run (group 1) plus any closing quotes/brackets attached to it.
-_TERMINATOR_RUN = re.compile(rf"([.?!]+)[{re.escape(CLOSING_PUNCT)}]*")
 # ``\S`` is the complement of ``str.isspace``, the test ``str.strip`` uses.
+# A terminator run (group 1) plus any closing quotes/brackets attached to
+# it, followed by whitespace or the end of the text.
+_TERMINATOR_RUN = re.compile(rf"([.?!]+)[{re.escape(CLOSING_PUNCT)}]*(?!\S)")
 _NON_SPACE = re.compile(r"\S")
 
 
@@ -145,8 +146,6 @@ def _boundaries(text: str, abbreviations: frozenset[str]) -> list[int]:
     ends = []
     for match in _TERMINATOR_RUN.finditer(text):
         end = match.end()
-        if end < len(text) and not text[end].isspace():
-            continue
         if match.group(1) == ".":
             dot_pos = match.start()
             if _is_abbreviation(text, dot_pos, abbreviations):

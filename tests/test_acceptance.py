@@ -38,7 +38,7 @@ from pyramid_masker import (
 from pyramid_masker.pyr_eval import weighted_coverage_score
 from pyramid_masker.selection import select_entity_pyramid, select_principle
 
-from oracles import entity_pyramid_oracle, pyramid_arithmetic_oracle
+from oracles import entity_pyramid_oracle, pyramid_arithmetic_oracle, rule_pyramid_oracle
 from synth import ENTITY_KEYS, QUOTE_KEYS, WILDFIRE_CLUSTER, long_cluster, synthetic_cluster
 
 
@@ -198,11 +198,16 @@ def test_01_rouge_reference_pairs(capsys):
 def test_02_entity_selection_vs_brute_force(capsys):
     rng = random.Random(202)
     started = time.perf_counter()
+    wrong_pyramids = []
     mismatches = []
     for i in range(1000):
         cluster = synthetic_cluster(rng, f"acc2-{i:04d}")
         sentences = segment_cluster(cluster)
         pyramid = build_pyramid(extract_entities(sentences), len(cluster.documents))
+        # The rule pyramid the walk is given, entry by entry, first.
+        entries = [(e.entity, e.doc_frequency, e.locations) for e in pyramid]
+        if entries != rule_pyramid_oracle(sentences):
+            wrong_pyramids.append(cluster.cluster_id)
         m = compute_mask_count(len(sentences), 0.15)
         c = compute_copy_count(len(sentences), m, 0.15)
         scorer = ClusterScorer(sentences)
@@ -219,10 +224,11 @@ def test_02_entity_selection_vs_brute_force(capsys):
         if not same:
             mismatches.append(cluster.cluster_id)
     elapsed = time.perf_counter() - started
-    ok = not mismatches and elapsed < 60.0
+    ok = not wrong_pyramids and not mismatches and elapsed < 60.0
     report(capsys, 2, "entity selection vs brute force", ok,
+           f"{1000 - len(wrong_pyramids)}/1000 rule pyramids and "
            f"{1000 - len(mismatches)}/1000 clusters identical, {elapsed:.1f}s")
-    assert ok, mismatches or f"too slow: {elapsed:.1f}s"
+    assert ok, wrong_pyramids or mismatches or f"too slow: {elapsed:.1f}s"
 
 
 def test_03_duplicate_quote_divergence(capsys):

@@ -73,6 +73,48 @@ def test_mask_to_file(corpus_path, tmp_path, capsys):
     assert summary["event"] == "summary" and summary["processed"] == 5
 
 
+@pytest.mark.parametrize("route", ["path", "stdin", "symlink", "hard-link"])
+def test_mask_refuses_to_write_over_its_input(tmp_path, monkeypatch, capsys, route):
+    """An ``--output`` that is the input file, named by its path, read
+    through stdin, or reached by a symlink or a hard link, ends as one
+    ``fatal`` line, and the file keeps its bytes."""
+    rng = random.Random(3)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(cluster_line(synthetic_cluster(rng, f"c{i}")) + "\n" for i in range(3)))
+    before = corpus.read_bytes()
+    source, output = str(corpus), corpus
+    if route == "stdin":
+        stdin = open(corpus, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        source = "-"
+    elif route == "symlink":
+        output = tmp_path / "link.jsonl"
+        output.symlink_to(corpus)
+    elif route == "hard-link":
+        output = tmp_path / "hard.jsonl"
+        os.link(corpus, output)
+    try:
+        code = main(["mask", "--input", source, "--output", str(output), "--strategy", "lead"])
+    finally:
+        if route == "stdin":
+            stdin.close()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = events_of(captured.err)
+    assert [e["event"] for e in events] == ["fatal"]
+    assert str(output) in events[0]["reason"]
+    assert corpus.read_bytes() == before
+
+
+def test_mask_writes_over_another_existing_file(corpus_path, tmp_path, capsys):
+    out_path = tmp_path / "out.jsonl"
+    out_path.write_text("stale\n")
+    assert main(["mask", "--input", str(corpus_path), "--output", str(out_path)]) == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["cluster_id"] for r in records] == ["wildfire", "c0", "c1", "c2", "c3"]
+
+
 def test_mask_stdout_holds_only_records(corpus_path, capsys):
     code = main(["mask", "--input", str(corpus_path)])
     captured = capsys.readouterr()
@@ -310,8 +352,9 @@ def test_flags_beat_config_file(corpus_path, tmp_path, capsys):
 )
 def test_worker_count_is_bounded_by_usable_cpus(tmp_path, monkeypatch, capsys, given):
     """A worker count past the usable CPUs, from a flag or the config
-    file, gets a pool of the usable CPUs and the output of one worker.
-    Threads stand in for the worker processes."""
+    file, gets a pool of the usable CPUs, or no pool when one CPU is
+    usable, and the output of one worker.  Threads stand in for the
+    worker processes."""
     rng = random.Random(0)
     corpus = tmp_path / "corpus.jsonl"
     lines = [cluster_line(synthetic_cluster(rng, f"c{i}")) + "\n" for i in range(40)]
@@ -331,9 +374,12 @@ def test_worker_count_is_bounded_by_usable_cpus(tmp_path, monkeypatch, capsys, g
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert main([*argv, *given]) == 0
-    assert sizes == [pipeline._usable_cpus()]
-    assert capsys.readouterr().out == serial
+    for cpus, pools in ((3, [3]), (1, [])):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        assert main([*argv, *given]) == 0
+        assert sizes == pools
+        assert capsys.readouterr().out == serial
 
 
 def test_unknown_config_key_is_fatal(corpus_path, tmp_path, capsys):
@@ -445,6 +491,9 @@ def test_attention_window_flag_is_gone(capsys):
         ('{"strict": "no"}', "'strict'"),
         ('{"workers": true}', "'workers'"),
         ('{"seed": 1.9}', "'seed'"),
+        pytest.param(
+            '{"mask_ratio": 1%s}' % ("0" * 400), "key 'mask_ratio' must be a number", id="overflow"
+        ),
         ('{"attention_window": 512}', "unknown config key 'attention_window'"),
         ('{"seed": 1', "not valid JSON"),
         pytest.param("[" * 100_000, "not valid JSON", id="nested"),

@@ -174,14 +174,17 @@ def test_chunk_edges_agree_at_any_worker_count(count):
         pytest.param(16, 3, 3 * CHUNK_SIZE + 1, 3, id="3-97-3"),
         pytest.param(2, 16, CHUNK_SIZE + 1, 2, id="2cpus-16-33-2"),
         pytest.param(2, 100_000, 6 * CHUNK_SIZE + 1, 2, id="2cpus-100000-193-2"),
+        pytest.param(1, 4, CHUNK_SIZE + 1, None, id="1cpu-4-33-None"),
     ],
 )
 def test_pool_starts_only_past_one_chunk(monkeypatch, cpus, workers, count, pool_size):
-    """A run of one chunk starts no pool; a longer one starts a pool of
-    the workers ``--workers`` asks for, but no more than the usable CPUs,
-    with at most two chunks per worker in flight.  Threads stand in for
-    the worker processes."""
+    """A run of one chunk starts no pool and asks for no CPU count; a
+    longer one starts a pool of the workers ``--workers`` asks for, but
+    no more than the usable CPUs, with at most two chunks per worker in
+    flight, unless that is one.  Threads stand in for the worker
+    processes."""
     sizes = []
+    asked = []
     unread: set = set()
     peak = 0
 
@@ -208,12 +211,13 @@ def test_pool_starts_only_past_one_chunk(monkeypatch, cpus, workers, count, pool
             return tracked
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: asked.append(cpus) or cpus)
     corpus = make_corpus(count, seed=17)
     lead = SelectionConfig(strategy=Strategy.LEAD)
     _, serial, _ = drive(corpus, PipelineConfig(selection=lead))
     report, out, _ = drive(corpus, PipelineConfig(selection=lead, workers=workers))
     assert sizes == ([] if pool_size is None else [pool_size])
+    assert asked == ([cpus] if count > CHUNK_SIZE else [])
     assert peak <= 2 * (pool_size or 0)
     assert report.processed == count
     assert out == serial
