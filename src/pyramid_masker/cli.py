@@ -16,8 +16,10 @@ line carrying the traceback, Ctrl-C as a ``fatal`` line with the
 reason ``interrupted``, and a bad command line as a ``fatal`` line
 naming what was wrong; all exit 1.  ``mask`` refuses, the same way, an
 ``--output`` that is the file its input is read from, and leaves that
-file as it was.  ``mask`` and ``score-sentence`` build their shared
-settings from one table, ``SETTINGS``; in both, an empty
+file as it was.  Every flag is declared once: ``--input`` and
+``--cluster-id`` in parent parsers, and each setting as one row of
+``SETTINGS`` (``mask``'s, which ``score-sentence``, ``stats`` and
+``eval-pyramid`` share) or of ``EVAL_SETTINGS``.  An empty
 ``--abbreviations`` is fatal.  Settings resolve as flags over
 config-file values over the config dataclasses' defaults.  The config
 file is a flat JSON object whose keys are the ``mask`` flag names, with
@@ -98,11 +100,12 @@ def _pick(items: Iterable, id_of: Callable, args: argparse.Namespace, noun: str,
 
 class Setting:
     """One setting: its flag, whose dest is its config-file key; the
-    dataclass field it sets; how a given value converts to that field,
-    where an Enum's values are the flag's choices; and the flag's other
-    argparse options.  A setting not given keeps the field's default."""
+    keyword it fills of ``config``, a config dataclass or ``record_score``;
+    how a given value converts to that keyword, where an Enum's values
+    are the flag's choices; and the flag's other argparse options.  A
+    setting not given keeps the keyword's default."""
 
-    def __init__(self, flag: str, config: type, field: str, convert=None, **options):
+    def __init__(self, flag: str, config: Callable, field: str, convert=None, **options):
         self.flag, self.config, self.field = flag, config, field
         self.convert, self.options = convert, options
         self.key = flag[2:].replace("-", "_")
@@ -133,8 +136,14 @@ SETTINGS = (
     Setting("--abbreviations", PipelineConfig, "abbreviations", load_abbreviations,
             help="override the packaged abbreviation list"),
 )
-# The settings ``score-sentence`` shares with ``mask``.
+# The settings other subcommands share with ``mask``.
 SCORE_SETTINGS = tuple(s for s in SETTINGS if s.key in ("salience_variant", "abbreviations"))
+STRICT = tuple(s for s in SETTINGS if s.key == "strict")
+# ``eval-pyramid``'s own settings.
+EVAL_SETTINGS = (
+    Setting("--aggregation", record_score, "aggregation", CoverageAggregation),
+    Setting("--len-unit", record_score, "len_unit", LengthUnit),
+)
 
 
 def _add_settings(parser: argparse.ArgumentParser, settings: Iterable[Setting]) -> None:
@@ -183,24 +192,25 @@ def _load_config_file(path: str, settings: dict[str, Setting]) -> dict:
     return resolved
 
 
-def _given_settings(args: argparse.Namespace, settings: dict[str, Setting]) -> dict:
-    """The settings the user gave, by config key: flags over config-file
-    values."""
+def _given_fields(args: argparse.Namespace, settings: Iterable[Setting]) -> dict[Callable, dict]:
+    """The values of those ``settings`` that ``args``'s subcommand
+    declares and the user gave, flags over config-file values, each
+    converted and filed under its ``config``."""
+    declared = {s.key: s for s in settings if hasattr(args, s.key)}
     config = getattr(args, "config", None)
-    given = _load_config_file(config, settings) if config else {}
-    given.update((key, getattr(args, key)) for key in settings if getattr(args, key) is not None)
-    return given
+    given = _load_config_file(config, declared) if config else {}
+    given.update((key, getattr(args, key)) for key in declared if getattr(args, key) is not None)
+    fields: dict[Callable, dict] = defaultdict(dict)
+    for key, value in given.items():
+        s = declared[key]
+        fields[s.config][s.field] = s.convert(value) if s.convert else value
+    return fields
 
 
 def _build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """The config that the settings of ``args``'s subcommand build."""
-    settings = {s.key: s for s in SETTINGS if hasattr(args, s.key)}
-    given = _given_settings(args, settings)
-    fields: dict[type, dict] = defaultdict(dict)
     try:
-        for key, value in given.items():
-            s = settings[key]
-            fields[s.config][s.field] = s.convert(value) if s.convert else value
+        fields = _given_fields(args, SETTINGS)
         normalization = NormalizationConfig(**fields[NormalizationConfig])
         return PipelineConfig(
             selection=SelectionConfig(**fields[SelectionConfig], normalization=normalization),
@@ -260,10 +270,8 @@ def cmd_score_sentence(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_pyramid(args: argparse.Namespace) -> int:
-    aggregation = CoverageAggregation(args.aggregation)
-    len_unit = LengthUnit(args.len_unit)
+    parse = partial(record_score, **_given_fields(args, EVAL_SETTINGS)[record_score])
     with _open_source(args.input) as source:
-        parse = partial(record_score, aggregation=aggregation, len_unit=len_unit)
         scored = list(read_records(source, parse, None if args.strict else _record_error))
     results = [{"summary_id": summary_id, **asdict(score)} for summary_id, score in scored]
     mean = mean_score(score for _, score in scored)
@@ -334,45 +342,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build gap-sentence pretraining examples from multi-document clusters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--input", default="-", help="JSONL input path, or - for stdin")
+    picks = argparse.ArgumentParser(add_help=False, parents=[reads])
+    picks.add_argument("--cluster-id", help="the cluster_id to pick; defaults to the first")
 
-    mask = sub.add_parser("mask", help="convert a corpus into masked pretraining examples")
-    mask.add_argument("--input", default="-", help="corpus JSONL path, or - for stdin")
+    mask = sub.add_parser(
+        "mask", parents=[reads], help="convert a corpus into masked pretraining examples"
+    )
     mask.add_argument("--output", default="-", help="output JSONL path, or - for stdout")
     mask.add_argument("--config", help="flat JSON config file; flags win over it")
     _add_settings(mask, SETTINGS)
     mask.set_defaults(func=cmd_mask)
 
-    stats = sub.add_parser("stats", help="corpus-level statistics as JSON")
-    stats.add_argument("--input", default="-")
-    stats.add_argument("--strict", action="store_true", default=False)
-    stats.set_defaults(func=cmd_stats)
-
-    score = sub.add_parser("score-sentence", help="per-sentence salience scores for one cluster")
-    score.add_argument("--input", default="-")
-    score.add_argument("--cluster-id", dest="cluster_id", help="defaults to the first cluster")
-    _add_settings(score, SCORE_SETTINGS)
-    score.set_defaults(func=cmd_score_sentence)
-
-    pyr = sub.add_parser("eval-pyramid", help="score summaries against weighted content units")
-    pyr.add_argument("--input", default="-")
-    pyr.add_argument(
-        "--aggregation",
-        choices=[a.value for a in CoverageAggregation],
-        default=CoverageAggregation.MEAN.value,
-    )
-    pyr.add_argument(
-        "--len-unit",
-        choices=[u.value for u in LengthUnit],
-        default=LengthUnit.WORDS.value,
-        dest="len_unit",
-    )
-    pyr.add_argument("--strict", action="store_true", default=False)
-    pyr.set_defaults(func=cmd_eval_pyramid)
-
-    inspect = sub.add_parser("inspect", help="pretty-print one emitted example")
-    inspect.add_argument("--input", default="-")
-    inspect.add_argument("--cluster-id", dest="cluster_id", help="defaults to the first record")
-    inspect.set_defaults(func=cmd_inspect)
+    for name, parent, settings, func, help_text in (
+        ("stats", reads, STRICT, cmd_stats, "corpus-level statistics as JSON"),
+        ("score-sentence", picks, SCORE_SETTINGS, cmd_score_sentence,
+         "per-sentence salience scores for one cluster"),
+        ("eval-pyramid", reads, EVAL_SETTINGS + STRICT, cmd_eval_pyramid,
+         "score summaries against weighted content units"),
+        ("inspect", picks, (), cmd_inspect, "pretty-print one emitted example"),
+    ):
+        command = sub.add_parser(name, parents=[parent], help=help_text)
+        _add_settings(command, settings)
+        command.set_defaults(func=func)
 
     return parser
 

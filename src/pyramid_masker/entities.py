@@ -216,17 +216,18 @@ def extract_entities_provided(
     """Locate caller-provided (surface, doc) annotations in the cluster.
 
     Each annotation is pinned to the first sentence of its document whose
-    folded words contain the surface's folded form; no later sentence is
-    folded for it.  Annotations that cannot be located are dropped so one
-    bad record does not sink the cluster; each drop appends an
-    ``entity_dropped`` event to ``events`` when a list is passed.
+    folded words hold the surface's folded form at token boundaries, by
+    ``contains_mention``; no later sentence is folded for it.
+    Annotations that cannot be located are dropped so one bad record
+    does not sink the cluster; each drop appends an ``entity_dropped``
+    event to ``events`` when a list is passed.
     """
     cluster_id = sentences[0].cluster_id if sentences else ""
     mentions: list[EntityMention] = []
     for ann in annotations:
         needle = fold_words(ann.surface.split())
         in_doc = (s for s in sentences if s.doc_index == ann.doc_index)
-        hit = next((s for s in in_doc if needle in fold_words(s.words)), None)
+        hit = next((s for s in in_doc if contains_mention(fold_words(s.words), needle)), None)
         if hit is None:
             if events is not None:
                 events.append(

@@ -138,6 +138,8 @@ def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
     Before a pool starts, one cluster more than a chunk is read.  An
     input of one chunk or less, like a one-worker run or a run with one
     usable CPU, stays in this process and never loads multiprocessing.
+    A worker process that dies raises ``CorpusError`` naming the first
+    cluster whose result was not yielded.
     """
     items = iter(items)
     head = list(islice(items, CHUNK_SIZE + 1)) if config.workers > 1 else []
@@ -148,16 +150,29 @@ def _results(items: Iterable[tuple], config: PipelineConfig) -> Iterator[tuple]:
             yield _process_one(cluster, events, config)
         return
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        inflight: deque = deque()
-        max_inflight = workers * 2
-        while chunk := list(islice(items, CHUNK_SIZE)):
-            if len(inflight) == max_inflight:
-                yield from inflight.popleft().result()
-            inflight.append(pool.submit(_process_chunk, chunk, config))
-        while inflight:
-            yield from inflight.popleft().result()
+    # (id of its first cluster, future of its results) per chunk; the
+    # head is the first chunk whose results have not all been yielded.
+    # The pool starts its processes at the first submit, so it can only
+    # break while a chunk is in flight.
+    inflight: deque = deque()
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            max_inflight = workers * 2
+            while chunk := list(islice(items, CHUNK_SIZE)):
+                if len(inflight) == max_inflight:
+                    yield from inflight[0][1].result()
+                    inflight.popleft()
+                future = pool.submit(_process_chunk, chunk, config)
+                inflight.append((chunk[0][0].cluster_id, future))
+            while inflight:
+                yield from inflight[0][1].result()
+                inflight.popleft()
+    except BrokenProcessPool as exc:
+        raise CorpusError(
+            f"the run stopped before cluster {inflight[0][0]!r}: a worker process ended abruptly"
+        ) from exc
 
 
 @dataclass

@@ -136,8 +136,9 @@ def contains_entity_oracle(sentence_text, entity):
 def provided_locator_oracle(docs, annotations):
     """Where each (surface, doc) annotation sits: the first sentence of
     ``docs[doc]`` whose whitespace-collapsed, case-folded text contains
-    the surface folded the same way.  ``docs`` is a list of documents,
-    each a list of sentence texts.  Returns the located
+    the surface folded the same way, at token boundaries by
+    ``contains_entity_oracle``.  ``docs`` is a list of documents, each a
+    list of sentence texts.  Returns the located
     (folded surface, doc, sentence) triples and the (surface, doc) pairs
     that sit nowhere, each list in annotation order."""
     located = []
@@ -147,7 +148,7 @@ def provided_locator_oracle(docs, annotations):
         found = -1
         j = 0
         while j < len(docs[doc]):
-            if needle in " ".join(docs[doc][j].split()).casefold():
+            if contains_entity_oracle(docs[doc][j], needle):
                 found = j
                 break
             j += 1

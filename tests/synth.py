@@ -18,18 +18,26 @@ NONCE = [
     "Tolvar", "Zephrin", "Caldor", "Nimbra", "Orvand",
 ]
 
+# Capitalized function words that open a sentence before a name; the
+# rule extractor sheds them from a sentence-initial run.
+OPENERS = ["The", "In", "However", "After", "Meanwhile"]
+
 
 def synthetic_cluster(
     rng: random.Random,
     cluster_id: str,
     num_docs: int | None = None,
     total_sentences: int | None = None,
+    openers: bool = False,
 ) -> DocumentCluster:
     """A small cluster of filler sentences with planted entities.
 
     Entities are nonce capitalized words, each planted into a random
     subset of documents -- some end up in one document only (and must be
-    pruned from the pyramid), others span several.
+    pruned from the pyramid), others span several.  With ``openers``,
+    about a third of the plantings open their sentence with one of
+    ``OPENERS`` before the name ("The Vexlor ...").  Without it, the
+    random draws, and so the clusters, are as they always were.
     """
     if num_docs is None:
         num_docs = rng.randint(2, 5)
@@ -52,7 +60,10 @@ def synthetic_cluster(
             if doc in doc_set:
                 for _ in range(rng.randint(1, 2)):
                     words = sentences[rng.randrange(counts[doc])]
-                    words.insert(rng.randrange(len(words) + 1), entity)
+                    if openers and rng.random() < 1 / 3:
+                        words[:0] = [rng.choice(OPENERS), entity]
+                    else:
+                        words.insert(rng.randrange(len(words) + 1), entity)
         documents.append(" ".join(" ".join(words) + "." for words in sentences))
     return DocumentCluster(cluster_id=cluster_id, documents=tuple(documents))
 

@@ -201,7 +201,9 @@ def test_02_entity_selection_vs_brute_force(capsys):
     wrong_pyramids = []
     mismatches = []
     for i in range(1000):
-        cluster = synthetic_cluster(rng, f"acc2-{i:04d}")
+        # Some sentences open "The Vexlor ...", so the pyramid check sees
+        # the shed of a sentence-initial function word.
+        cluster = synthetic_cluster(rng, f"acc2-{i:04d}", openers=True)
         sentences = segment_cluster(cluster)
         pyramid = build_pyramid(extract_entities(sentences), len(cluster.documents))
         # The rule pyramid the walk is given, entry by entry, first.

@@ -7,8 +7,10 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -264,14 +266,56 @@ def crash_worker(clusters, config):
     os._exit(3)
 
 
+PROCESS_CHUNK = pipeline._process_chunk
+
+
+def crash_on_c40(clusters, config):
+    """Stands in for ``pipeline._process_chunk``: the worker process dies
+    on the chunk holding cluster ``c40``, after a pause that lets the
+    other worker finish the first chunk."""
+    if any(cluster.cluster_id == "c40" for cluster, _ in clusters):
+        time.sleep(0.5)
+        os._exit(3)
+    return PROCESS_CHUNK(clusters, config)
+
+
 def test_mask_worker_crash_is_fatal(multichunk_corpus_path, monkeypatch, capsys):
+    """A dead worker ends the run as one ``fatal`` line without a
+    traceback, naming the first cluster whose record was not written."""
     monkeypatch.setattr(pipeline, "_process_chunk", crash_worker)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert events == [
+        {
+            "event": "fatal",
+            "reason": "the run stopped before cluster 'c0': a worker process ended abruptly",
+        }
+    ]
+
+
+def test_mask_worker_crash_keeps_the_records_before_it(
+    multichunk_corpus_path, monkeypatch, capsys
+):
+    """When the worker holding a later chunk dies, stdout holds exactly
+    the records of the clusters before the one the ``fatal`` line names.
+    Which cluster that is depends on whether the first chunk was done
+    when the pool broke."""
+    monkeypatch.setattr(pipeline, "_process_chunk", crash_on_c40)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     code = main(["mask", "--input", str(multichunk_corpus_path), "--workers", "2"])
     captured = capsys.readouterr()
     assert code == 1
     events = [json.loads(line) for line in captured.err.splitlines()]
     assert [e["event"] for e in events] == ["fatal"]
-    assert events[0]["reason"].startswith("internal error: BrokenProcessPool")
+    assert "traceback" not in events[0]
+    written = [json.loads(line)["cluster_id"] for line in captured.out.splitlines()]
+    named = re.fullmatch(r"the run stopped before cluster '(c\d+)': .*", events[0]["reason"])
+    assert named and named[1] in ("c0", "c32")
+    assert written == [f"c{i}" for i in range(int(named[1][1:]))]
 
 
 def test_mask_strategy_flag(corpus_path, capsys):

@@ -145,6 +145,21 @@ def test_provided_annotation_not_found_is_dropped():
     ]
 
 
+def test_provided_annotation_is_located_at_token_boundaries():
+    """ "us" inside "usage" is no mention: the annotation is pinned to the
+    later sentence that holds "us" as a word, or dropped where none does."""
+    cluster = DocumentCluster(
+        "c",
+        ("Bus usage rose. The US said so.", "Usage fell."),
+        entity_annotations=(EntityAnnotation("us", 0), EntityAnnotation("US", 1)),
+    )
+    sentences = segment_cluster(cluster)
+    events: list[dict] = []
+    mentions = extract_entities_provided(sentences, cluster.entity_annotations, events)
+    assert [(m.normalized, m.doc_index, m.sent_index) for m in mentions] == [("us", 0, 1)]
+    assert events == [{"event": "entity_dropped", "cluster_id": "c", "surface": "US", "doc": 1}]
+
+
 def test_provided_mode_falls_back_to_rules_without_annotations():
     cluster = DocumentCluster("c", ("Colorado burned again.",))
     sentences = segment_cluster(cluster)
@@ -432,7 +447,8 @@ def _annotated_docs(draw):
 @example(([["the US said", "Us again"], ["nothing"]], [("us", 0)]))
 # A surface held only by another document.
 @example(([["nothing here"], ["zed came"]], [("Zed", 0), ("zed", 1)]))
-# A substring-only hit: "us" inside "usage".
+# A substring-only hit: "us" inside "usage" is no mention, so ("us", 0)
+# sits in sentence 1 and ("US", 1) is dropped.
 @example(([["bus usage", "us"], ["usage"]], [("us", 0), ("US", 1)]))
 def test_provided_locator_equals_the_oracle(annotated):
     docs, annotations = annotated

@@ -78,6 +78,9 @@ REFERENCE_VECTORS = {
     "adjustment": "adjust",
     "dependent": "depend",
     "adoption": "adopt",
+    # -ion stays when its stem ends in neither s nor t
+    "companion": "companion",
+    "opinion": "opinion",
     "communism": "commun",
     "activate": "activ",
     "angulariti": "angular",
