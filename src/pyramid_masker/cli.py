@@ -280,8 +280,9 @@ def cmd_eval_pyramid(args: argparse.Namespace) -> int:
 
 
 def _check_example(record: dict) -> dict:
-    """An emitted example with the shape ``inspect`` renders; raises
-    ValueError with a reason."""
+    """An emitted example with the shape ``inspect`` renders: an
+    ``input`` and a ``target`` array of strings; raises ValueError with
+    a reason."""
     meta = record.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta must be an object")
@@ -291,7 +292,7 @@ def _check_example(record: dict) -> dict:
     if not all(map(fits_float, scores.values())):
         raise ValueError("every score in meta.scores must be a number a float can hold")
     for name in ("input", "target"):
-        tokens = record.get(name, [])
+        tokens = record.get(name)
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ValueError(f"{name} must be an array of strings")
     return record
@@ -307,15 +308,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"strategy          {meta.get('strategy')}",
         f"fallback_used     {meta.get('fallback_used')}",
         f"dropped_masked    {meta.get('dropped_masked')}",
-        f"input tokens      {len(record.get('input', []))}",
-        f"target tokens     {len(record.get('target', []))}",
+        f"input tokens      {len(record['input'])}",
+        f"target tokens     {len(record['target'])}",
         f"global attention  {record.get('global_attention')}",
         "",
         "input:",
-        "  " + " ".join(record.get("input", [])),
+        "  " + " ".join(record["input"]),
         "",
         "target:",
-        "  " + " ".join(record.get("target", [])),
+        "  " + " ".join(record["target"]),
     ]
     scores = meta.get("scores")
     if scores:

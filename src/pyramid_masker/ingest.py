@@ -71,8 +71,9 @@ class EntityAnnotation:
 
 @dataclass(frozen=True)
 class DocumentCluster:
-    """One set of related documents, the unit of processing.  Each
-    document holds a non-space character, or ``ValueError`` is raised."""
+    """One set of related documents, the unit of processing.  However it
+    is built, a value that breaks a rule of a cluster raises ValueError
+    with a reason; a blank summary is stored as ``None``."""
 
     cluster_id: str
     documents: tuple[str, ...]
@@ -80,6 +81,8 @@ class DocumentCluster:
     entity_annotations: tuple[EntityAnnotation, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cluster_id, str) or not self.cluster_id:
+            raise ValueError("missing or empty cluster_id")
         if not self.documents:
             raise ValueError("empty cluster")
         for i, doc in enumerate(self.documents):
@@ -87,49 +90,44 @@ class DocumentCluster:
                 raise ValueError(f"document {i} is not a string")
             if not doc.strip():
                 raise ValueError(f"document {i} is empty")
-
-
-def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
-    """Validate one decoded JSON object whose id is not in ``seen_ids``,
-    then add its id there; raises ValueError with a reason."""
-    cluster_id = record.get("cluster_id")
-    if not isinstance(cluster_id, str) or not cluster_id:
-        raise ValueError("missing or empty cluster_id")
-    documents = record.get("documents")
-    if not isinstance(documents, list):
-        raise ValueError("documents must be an array of strings")
-
-    summary = record.get("summary")
-    if summary is not None:
-        if not isinstance(summary, str):
-            raise ValueError("summary must be a string")
-        summary = summary if summary.strip() else None
-
-    annotations = None
-    raw_entities = record.get("entities")
-    if raw_entities is not None:
-        if not isinstance(raw_entities, list):
-            raise ValueError("entities must be an array")
-        parsed = []
-        for i, entry in enumerate(raw_entities):
-            if not isinstance(entry, dict):
-                raise ValueError(f"entity {i} is not an object")
-            surface = entry.get("surface")
-            doc = entry.get("doc")
+        if self.gold_summary is not None:
+            if not isinstance(self.gold_summary, str):
+                raise ValueError("summary must be a string")
+            if not self.gold_summary.strip():
+                object.__setattr__(self, "gold_summary", None)
+        for i, annotation in enumerate(self.entity_annotations or ()):
+            surface, doc, n = annotation.surface, annotation.doc_index, len(self.documents)
             if not isinstance(surface, str) or not surface.strip():
                 raise ValueError(f"entity {i} has no surface text")
             if not is_json_int(doc):
                 raise ValueError(f"entity {i} has a non-integer doc index")
-            if not 0 <= doc < len(documents):
-                raise ValueError(f"entity {i} references document {doc} of {len(documents)}")
-            parsed.append(EntityAnnotation(surface=surface, doc_index=doc))
-        annotations = tuple(parsed)
+            if not 0 <= doc < n:
+                raise ValueError(f"entity {i} references document {doc} of {n}")
 
-    # Building the cluster validates its documents.
-    cluster = DocumentCluster(cluster_id, tuple(documents), summary, annotations)
-    if cluster_id in seen_ids:
-        raise ValueError(f"duplicate cluster_id {cluster_id!r}")
-    seen_ids.add(cluster_id)
+
+def _parse_record(record: dict, seen_ids: set[str]) -> DocumentCluster:
+    """The cluster of one decoded JSON object whose id is not in
+    ``seen_ids``, whose id is then added there; raises ValueError with a
+    reason.  Only the JSON shape is checked here: the cluster checks its
+    values."""
+    documents = record.get("documents")
+    if not isinstance(documents, list):
+        raise ValueError("documents must be an array of strings")
+    entries = record.get("entities")
+    annotations = None
+    if entries is not None:
+        if not isinstance(entries, list):
+            raise ValueError("entities must be an array")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"entity {i} is not an object")
+        annotations = tuple(EntityAnnotation(e.get("surface"), e.get("doc")) for e in entries)
+    cluster = DocumentCluster(
+        record.get("cluster_id"), tuple(documents), record.get("summary"), annotations
+    )
+    if cluster.cluster_id in seen_ids:
+        raise ValueError(f"duplicate cluster_id {cluster.cluster_id!r}")
+    seen_ids.add(cluster.cluster_id)
     return cluster
 
 

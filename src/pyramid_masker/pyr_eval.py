@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .ingest import fits_float, is_json_int
+from .ingest import is_json_int
+from .rouge import overlap_score
+
+# Up to 2**53 a float holds every integer exactly, and no raw score, F1
+# or mean of weights and lengths under it can overflow.
+MAX_COUNT = 2**53
 
 
 class CoverageAggregation(Enum):
@@ -56,13 +61,8 @@ def weighted_coverage_score(
         if not 0.0 <= coverage <= 1.0:
             raise ValueError(f"coverage fraction out of range: {coverage}")
         raw += weight * coverage
-    recall = raw / gold_len
-    precision = raw / sys_len
-    if recall + precision == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * recall * precision / (recall + precision)
-    return PyramidScore(raw=raw, recall=recall, precision=precision, f1=f1)
+    score = overlap_score(raw, sys_len, gold_len)
+    return PyramidScore(raw=raw, recall=score.recall, precision=score.precision, f1=score.f1)
 
 
 def aggregate_coverage(
@@ -83,8 +83,8 @@ def _summary_length(record: dict, side: str, len_unit: LengthUnit) -> int:
     if explicit is not None:
         if not is_json_int(explicit):
             raise ValueError(f"{side}_len must be an integer")
-        if not fits_float(explicit):
-            raise ValueError(f"{side}_len is too large for a float")
+        if explicit > MAX_COUNT:
+            raise ValueError(f"{side}_len is above 2**53")
         return explicit
     text = record.get(f"{side}_text")
     if not isinstance(text, str):
@@ -119,6 +119,8 @@ def record_score(
         weight = scu.get("weight")
         if not is_json_int(weight) or weight < 1:
             raise ValueError(f"SCU weight must be a positive integer, got {weight!r}")
+        if weight > MAX_COUNT:
+            raise ValueError("SCU weight is above 2**53")
         covered = scu.get("covered")
         if isinstance(covered, bool):
             coverage = 1.0 if covered else 0.0
@@ -126,8 +128,6 @@ def record_score(
             coverage = aggregate_coverage(covered, aggregation)
         else:
             raise ValueError(f"SCU covered must be a boolean or list of booleans, got {covered!r}")
-        if not fits_float(weight):
-            raise ValueError("SCU weight is too large for a float")
         units.append((float(weight), coverage))
     gold_len = _summary_length(record, "gold", len_unit)
     sys_len = _summary_length(record, "sys", len_unit)

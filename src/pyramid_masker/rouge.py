@@ -55,7 +55,17 @@ DEFAULT_VARIANT = SalienceVariant.MEAN_R1_R2_F1
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return 2.0 * recall * precision / (recall + precision)
+
+
+def overlap_score(overlap: float, cand_total: float, ref_total: float) -> RougeScore:
+    """Precision, recall and F1 of an overlap between a candidate and a
+    reference of the given sizes; an empty side scores zero."""
+    if cand_total == 0 or ref_total == 0:
+        return _ZERO
+    precision = overlap / cand_total
+    recall = overlap / ref_total
+    return RougeScore(precision, recall, _f1(precision, recall))
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -98,11 +108,11 @@ def _overlap_f1(overlap: int, cand_total: int, ref_total: int) -> float:
     return _f1(overlap / cand_total, overlap / ref_total)
 
 
-def _clipped(repeated: dict, ref: dict) -> int:
-    """The clipped overlap of a sentence's repeated n-grams with ``ref``:
-    each counts at most as often as it appears there."""
+def _clipped(counts: dict, ref: dict) -> int:
+    """The clipped overlap of n-gram counts with ``ref``: each n-gram
+    counts at most as often as it appears there."""
     overlap = 0
-    for gram, count in repeated.items():
+    for gram, count in counts.items():
         ref_count = ref.get(gram, 0)
         overlap += count if count < ref_count else ref_count
     return overlap
@@ -115,14 +125,7 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
         raise ValueError(f"n must be positive, got {n}")
     cand = _ngrams(candidate, n)
     ref = _ngrams(reference, n)
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
-    if cand_total == 0 or ref_total == 0:
-        return _ZERO
-    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
-    precision = overlap / cand_total
-    recall = overlap / ref_total
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return overlap_score(_clipped(cand, ref), sum(cand.values()), sum(ref.values()))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -144,12 +147,7 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence ROUGE over whole sequences."""
     candidate = candidate[:LCS_TOKEN_CAP]
     reference = reference[:LCS_TOKEN_CAP]
-    if not candidate or not reference:
-        return _ZERO
-    lcs = _lcs_length(candidate, reference)
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return overlap_score(_lcs_length(candidate, reference), len(candidate), len(reference))
 
 
 class ClusterScorer:

@@ -782,6 +782,32 @@ def test_eval_pyramid_reports_non_object_line(tmp_path, capsys):
     assert [(e["event"], e["line"]) for e in events] == [("record_error", 1)]
 
 
+def _refuse(constant):
+    raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+
+def test_eval_pyramid_output_is_strict_json_when_a_score_would_overflow(tmp_path, capsys):
+    big = 10**308
+    two = [{"id": "u", "weight": big, "covered": True}, {"id": "v", "weight": big, "covered": True}]
+    records = [
+        eval_record("two", gold_len=1, sys_len=1, scus=two),
+        eval_record("one", gold_len=1, sys_len=1, scus=two[:1]),
+        eval_record("mean1", gold_len=big, sys_len=big, scus=two[:1]),
+        eval_record("mean2", gold_len=big, sys_len=big, scus=two[:1]),
+        eval_record("ok"),
+    ]
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(["eval-pyramid", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    payload = json.loads(captured.out, parse_constant=_refuse)
+    assert [row["summary_id"] for row in payload["summaries"]] == ["ok"]
+    assert [(e["event"], e["line"]) for e in events_of(captured.err)] == [
+        ("record_error", n) for n in (1, 2, 3, 4)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # inspect
 
@@ -828,6 +854,8 @@ INSPECT_RECORD = {"cluster_id": "x", "input": ["<doc-sep>", "[sent-mask]"], "tar
         {"target": ["Hi.", 1]},
         # a score no float can hold
         {"meta": {"scores": {"0:1": 10**400}}},
+        # a corpus line: no input or target
+        {"documents": ["A document."]},
     ],
 )
 def test_inspect_skips_a_record_of_the_wrong_shape(tmp_path, capsys, bad):
@@ -919,10 +947,11 @@ def test_mask_skips_a_lone_surrogate_with_a_pool(multichunk_corpus_path, tmp_pat
 
 
 # JSON edge values, each as the text of one JSON value: lone surrogates,
-# integers no float can hold, the non-finite literals Python's reader
-# accepts, nesting too deep to decode, and plain values of each type.
+# integers no float can hold, one above 2**53 that a float holds, the
+# non-finite literals Python's reader accepts, nesting too deep to
+# decode, and plain values of each type.
 EDGE_VALUES = [
-    r'"\ud800"', r'"x\udc00"', "1" + "0" * 400, "-1" + "0" * 400,
+    r'"\ud800"', r'"x\udc00"', "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 308,
     "NaN", "Infinity", "-Infinity", "[" * 3000 + "]" * 3000,
     "true", "null", '"text"', "[]", "{}", "-1", "1.5",
 ]
@@ -952,7 +981,10 @@ EDGE_PLACES = {
     "inspect": [
         ("%s", {"{}"}),
         (_EXAMPLE, {"{}"}),
-        (_EXAMPLE % '{"0:0": %s}', {"-1", "1.5", "NaN", "Infinity", "-Infinity"}),
+        (
+            _EXAMPLE % '{"0:0": %s}',
+            {"-1", "1.5", "NaN", "Infinity", "-Infinity", "1" + "0" * 308},
+        ),
         ('{"cluster_id": "bad", "input": %s}', {"[]"}),
         ('{"cluster_id": "bad", "input": [%s]}', {'"text"'}),
     ],

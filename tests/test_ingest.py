@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -118,6 +119,54 @@ def test_bad_records_are_reported_and_skipped(record, reason_fragment):
 def test_cluster_rejects_documents_without_a_sentence(documents, reason):
     with pytest.raises(ValueError, match=reason):
         DocumentCluster("c", documents)
+
+
+TWO_DOCUMENTS = ("A b c. D e f.", "G h i.")
+
+
+@pytest.mark.parametrize(
+    "fields,reason",
+    [
+        ({"cluster_id": ""}, "missing or empty cluster_id"),
+        ({"cluster_id": None}, "missing or empty cluster_id"),
+        ({"cluster_id": 7}, "missing or empty cluster_id"),
+        ({"gold_summary": 5}, "summary must be a string"),
+        ({"gold_summary": ["A summary."]}, "summary must be a string"),
+        ({"entity_annotations": (EntityAnnotation("", 0),)}, "entity 0 has no surface text"),
+        ({"entity_annotations": (EntityAnnotation(" \t", 0),)}, "entity 0 has no surface text"),
+        (
+            {"entity_annotations": (EntityAnnotation("G", 1), EntityAnnotation(3, 0))},
+            "entity 1 has no surface text",
+        ),
+        (
+            {"entity_annotations": (EntityAnnotation("G", True),)},
+            "entity 0 has a non-integer doc index",
+        ),
+        (
+            {"entity_annotations": (EntityAnnotation("G", 1.0),)},
+            "entity 0 has a non-integer doc index",
+        ),
+        (
+            {"entity_annotations": (EntityAnnotation("G", 2),)},
+            "entity 0 references document 2 of 2",
+        ),
+        (
+            {"entity_annotations": (EntityAnnotation("G", -1),)},
+            "entity 0 references document -1 of 2",
+        ),
+    ],
+)
+def test_cluster_built_in_code_checks_its_id_summary_and_annotations(fields, reason):
+    """The rules a JSON record is held to hold for a cluster built in code."""
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        DocumentCluster(**{"cluster_id": "c", "documents": TWO_DOCUMENTS, **fields})
+
+
+def test_cluster_built_in_code_stores_a_blank_summary_as_none():
+    cluster = DocumentCluster("c", TWO_DOCUMENTS, gold_summary=" \n ")
+    assert cluster.gold_summary is None
+    assert cluster == DocumentCluster("c", TWO_DOCUMENTS)
+    assert compute_corpus_stats([cluster]).mean_summary_length is None
 
 
 def test_rejected_record_does_not_claim_its_id():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pyramid_masker import CoverageAggregation, LengthUnit, PyramidScore
 from pyramid_masker.pyr_eval import (
@@ -80,6 +82,27 @@ def test_arithmetic_matches_oracle(units, gold_len, sys_len):
     assert score.recall == pytest.approx(recall, abs=1e-12)
     assert score.precision == pytest.approx(precision, abs=1e-12)
     assert score.f1 == pytest.approx(f1, abs=1e-12)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, allow_nan=False, allow_infinity=False),
+            st.floats(0.0, 1.0),
+        ),
+        max_size=8,
+    ),
+    st.integers(1, 10**308),
+    st.integers(1, 10**308),
+)
+# 2.0 * precision overflows here, and 2.0 * recall does not.
+@example([(1e308, 1.0)], 15 * 10**307, 1)
+def test_score_is_the_formula_bit_for_bit(units, gold_len, sys_len):
+    """recall = raw / gold_len, precision = raw / sys_len and
+    F1 = 2 * recall * precision / (recall + precision), in that order."""
+    score = weighted_coverage_score(units, gold_len, sys_len)
+    expected = pyramid_arithmetic_oracle(units, gold_len, sys_len)
+    assert [x.hex() for x in astuple(score)] == [x.hex() for x in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +201,16 @@ def test_explicit_length_beats_text():
         {"scus": [{"id": "x", "weight": 10**400, "covered": True}]},
         {"gold_len": 10**400},
         {"sys_len": 10**400},
+        # above 2**53, where a score or a mean of scores could overflow
+        {"scus": [{"id": "x", "weight": 2**53 + 1, "covered": True}]},
+        {"gold_len": 2**53 + 1},
+        {"sys_len": 2**53 + 1},
+        # scores 1.0, but the raw mean of two such records overflows
+        {
+            "gold_len": 10**308,
+            "sys_len": 10**308,
+            "scus": [{"id": "x", "weight": 10**308, "covered": True}],
+        },
     ],
 )
 def test_record_score_rejects_malformed(broken):
@@ -190,6 +223,12 @@ def test_record_score_missing_lengths():
     del rec["sys_len"]
     with pytest.raises(ValueError, match="sys_len or sys_text"):
         record_score(rec)
+
+
+def test_mean_of_records_at_2_53_is_finite():
+    scus = [{"id": "u", "weight": 2**53, "covered": True}]
+    _, score = record_score(record(gold_len=2**53, sys_len=2**53, scus=scus))
+    assert mean_score([score, score]) == PyramidScore(2.0**53, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
