@@ -55,6 +55,7 @@ DEFAULT_VARIANT = SalienceVariant.MEAN_R1_R2_F1
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
+    # eval-pyramid's order: 2.0 * precision can overflow where 2.0 * recall does not.
     return 2.0 * recall * precision / (recall + precision)
 
 
@@ -101,7 +102,7 @@ def _combine(variant: SalienceVariant, r1: float, r2: float) -> float:
 
 
 def _overlap_f1(overlap: int, cand_total: int, ref_total: int) -> float:
-    """The F1 of a clipped n-gram overlap, as ``rouge_n`` computes it.
+    """The F1 of a clipped n-gram overlap, as ``overlap_score`` computes it.
     An overlap above 0 implies that both totals are above 0."""
     if overlap == 0:
         return 0.0
